@@ -4,7 +4,7 @@
 //
 // The binary is its own fleet: the launcher fork+execs itself with
 // --serve once per shard (each child a real ShardServer process over
-// its slice of one shared segmented HCSR v3 file, metrics endpoint on
+// its slice of one shared segmented HCSR v4 file, metrics endpoint on
 // an ephemeral port) and drives a ShardRouter at it.
 //
 //   * configs — for 1, 2 and 4 shards, C client threads push a mixed

@@ -1028,11 +1028,13 @@ int main(int argc, char** argv) {
                 "within budget: %s\n"
                 "  in-core %.4f s   streaming %.4f s   io-wait %.4f s   "
                 "overlap %.0f%%\n"
+                "  fetch %.4f s = read %.4f s + verify %.4f s\n"
                 "  bytes fetched %llu   ranks bitwise-identical: %s\n",
                 d.name.c_str(), iters, oo_threads, st.segments, budget,
                 st.peak_resident_bytes, budget_ok ? "yes" : "NO",
                 incore.report.seconds, streaming.report.seconds,
                 st.io_wait_seconds, 100.0 * st.overlap_ratio(),
+                st.fetch_seconds, st.read_seconds, st.verify_seconds,
                 static_cast<unsigned long long>(st.bytes_fetched),
                 bitwise ? "yes" : "NO");
     jw.key("oocore");
@@ -1050,6 +1052,8 @@ int main(int argc, char** argv) {
     jw.kv("streaming_seconds", streaming.report.seconds);
     jw.kv("io_wait_seconds", st.io_wait_seconds);
     jw.kv("fetch_seconds", st.fetch_seconds);
+    jw.kv("read_seconds", st.read_seconds);
+    jw.kv("verify_seconds", st.verify_seconds);
     jw.kv("prefetch_overlap_ratio", st.overlap_ratio());
     jw.kv("bytes_fetched", st.bytes_fetched);
     jw.kv("ranks_bitwise_identical", bitwise);

@@ -452,6 +452,9 @@ void check_hotpath(const Value& root) {
     require_nonneg(*oo, p, "streaming_seconds");
     require_nonneg(*oo, p, "io_wait_seconds");
     require_nonneg(*oo, p, "fetch_seconds");
+    // fetch split into its graph/io sub-phases (advisory, not banded).
+    require_nonneg(*oo, p, "read_seconds");
+    require_nonneg(*oo, p, "verify_seconds");
     require_fraction(*oo, p, "prefetch_overlap_ratio");
     const double fetched = require_nonneg(*oo, p, "bytes_fetched");
     if (fetched < 1.0) {

@@ -1,7 +1,7 @@
 // Out-of-core segmented PageRank (native backend only — the point is
 // real file I/O).
 //
-// The graph lives in a segmented HCSR v3 file (graph/io.hpp): the
+// The graph lives in a segmented HCSR v4 file (graph/io.hpp): the
 // pull-direction CSR sliced by destination range. Only O(V) vertex
 // attributes plus two segment-sized staging slots are resident; the
 // edge topology streams through the slots one segment at a time, with
@@ -14,12 +14,19 @@
 // Time the compute team spends blocked on the prefetch thread is
 // charged to the Phase::kIoWait telemetry row (thread 0); the stats()
 // accessor reports fetch/wait seconds and the overlap ratio between
-// them, plus byte accounting for the budget assertion.
+// them, fetch split into read and verify, plus byte accounting for the
+// budget assertion.
+//
+// A fetch that fails (checksum mismatch, short read) on the prefetch
+// thread is captured and rethrown on the thread that called run(),
+// after the producer is joined and the team is torn down, so the
+// engine can run again.
 #pragma once
 
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -63,6 +70,10 @@ struct OocoreStats {
   std::size_t resident_budget_bytes = 0;  ///< 0 = unlimited
   double io_wait_seconds = 0.0;  ///< compute blocked on segment data
   double fetch_seconds = 0.0;    ///< wall time inside segment reads
+  /// fetch_seconds split by graph/io: getting the payload bytes
+  /// (pread / mmap) and checksumming them.
+  double read_seconds = 0.0;
+  double verify_seconds = 0.0;
   /// Fraction of fetch time hidden behind compute: 1 means every read
   /// finished before the team needed it, 0 means fully synchronous.
   [[nodiscard]] double overlap_ratio() const {
@@ -115,15 +126,19 @@ class OocoreEngine {
       staging_[1] = backend.template alloc_pages<unsigned char>(slot);
       stats_.peak_resident_bytes = resident;
     } else {
-      incore_ = backend.template alloc_pages<unsigned char>(
-          scsr_.total_payload_bytes());
+      // A payload's length is only a multiple of sizeof(vid_t), so each
+      // one starts eid_t-aligned, as it would in a staging slot.
       incore_offsets_.reserve(stats_.segments);
       std::size_t pos = 0;
       for (unsigned s = 0; s < stats_.segments; ++s) {
         incore_offsets_.push_back(pos);
-        scsr_.read_segment(s, incore_.data() + pos);
+        pos += round_up<std::size_t>(scsr_.segment(s).payload_bytes,
+                                     alignof(eid_t));
+      }
+      incore_ = backend.template alloc_pages<unsigned char>(pos);
+      for (unsigned s = 0; s < stats_.segments; ++s) {
+        scsr_.read_segment(s, incore_.data() + incore_offsets_[s]);
         ++stats_.segment_fetches;
-        pos += scsr_.segment(s).payload_bytes;
       }
       stats_.peak_resident_bytes = pos;
     }
@@ -161,6 +176,7 @@ class OocoreEngine {
     std::int64_t slot_seq[2] = {-1, -1};  ///< sequence resident per slot
     std::int64_t next_consume = 0;
     bool done = false;
+    std::exception_ptr error;  ///< producer's failed fetch, if any
     double fetch_seconds = 0.0;
     std::uint64_t fetches = 0;
   };
@@ -172,10 +188,12 @@ class OocoreEngine {
     const unsigned threads = opt_.num_threads;
     stats_.io_wait_seconds = 0.0;
     stats_.fetch_seconds = 0.0;
-    if (opt_.streaming) {
-      stats_.segment_fetches = 0;
-      bytes_fetched_base_ = scsr_.bytes_fetched();
-    }
+    stats_.read_seconds = 0.0;
+    stats_.verify_seconds = 0.0;
+    const std::uint64_t bytes0 = scsr_.bytes_fetched();
+    const std::uint64_t read_ns0 = scsr_.read_ns();
+    const std::uint64_t verify_ns0 = scsr_.verify_ns();
+    if (opt_.streaming) stats_.segment_fetches = 0;
 
     if constexpr (kTel) {
       timeline_.reset(threads);
@@ -232,43 +250,46 @@ class OocoreEngine {
     double last_delta = 0.0;
     unsigned executed = 0;
     std::int64_t seq = 0;
-    for (unsigned it = 0; it < pr.iterations; ++it) {
-      [[maybe_unused]] double it0 = 0.0;
-      if constexpr (kTel) it0 = backend_->now_seconds();
-      timed_phase<kTel>(runtime::Phase::kScatter, [&](unsigned t, Mem&) {
-        contrib_pass<kTel>(t);
-      });
-      if (track_delta) {
-        for (PaddedDouble& p : partials) p.v = 0.0;
-      }
-      for (unsigned s = 0; s < num_segments; ++s, ++seq) {
-        const void* payload = acquire_segment<kTel>(pipe, async, s, seq);
-        const graph::SegmentedCsr::SegmentView view = scsr_.view(s, payload);
-        timed_phase<kTel>(runtime::Phase::kGather, [&](unsigned t, Mem&) {
-          gather_pass<kTel>(t, view, base, pr.damping,
-                            track_delta ? &partials[t].v : nullptr);
+    try {
+      for (unsigned it = 0; it < pr.iterations; ++it) {
+        [[maybe_unused]] double it0 = 0.0;
+        if constexpr (kTel) it0 = backend_->now_seconds();
+        timed_phase<kTel>(runtime::Phase::kScatter, [&](unsigned t, Mem&) {
+          contrib_pass<kTel>(t);
         });
-        if (async) release_segment(pipe, seq);
+        if (track_delta) {
+          for (PaddedDouble& p : partials) p.v = 0.0;
+        }
+        for (unsigned s = 0; s < num_segments; ++s, ++seq) {
+          const void* payload = acquire_segment<kTel>(pipe, async, s, seq);
+          const graph::SegmentedCsr::SegmentView view = scsr_.view(s, payload);
+          timed_phase<kTel>(runtime::Phase::kGather, [&](unsigned t, Mem&) {
+            gather_pass<kTel>(t, view, base, pr.damping,
+                              track_delta ? &partials[t].v : nullptr);
+          });
+          if (async) release_segment(pipe, seq);
+        }
+        std::swap(rank_, new_rank_);
+        ++executed;
+        if constexpr (kTel) {
+          timeline_.record_iteration(backend_->now_seconds() - it0);
+        }
+        if (track_delta) {
+          last_delta = 0.0;
+          for (const PaddedDouble& p : partials) last_delta += p.v;
+          if (last_delta <= pr.tolerance) break;
+        }
       }
-      std::swap(rank_, new_rank_);
-      ++executed;
-      if constexpr (kTel) {
-        timeline_.record_iteration(backend_->now_seconds() - it0);
-      }
-      if (track_delta) {
-        last_delta = 0.0;
-        for (const PaddedDouble& p : partials) last_delta += p.v;
-        if (last_delta <= pr.tolerance) break;
-      }
+    } catch (...) {
+      // A failed fetch (either thread) ends the run: no rank from a
+      // corrupt segment is ever returned, and the engine stays usable.
+      stop_producer(pipe, producer);
+      backend_->end_team();
+      throw;
     }
 
     if (async) {
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.done = true;
-      }
-      pipe.freed_cv.notify_all();
-      producer.join();
+      stop_producer(pipe, producer);
       stats_.fetch_seconds = pipe.fetch_seconds;
       stats_.segment_fetches += pipe.fetches;
     }
@@ -288,11 +309,12 @@ class OocoreEngine {
       }
     }
     result.report.arena = backend_->arena_stats();
-    if (opt_.streaming) {
-      stats_.bytes_fetched = scsr_.bytes_fetched() - bytes_fetched_base_;
-    } else {
-      stats_.bytes_fetched = 0;  // everything was resident before t0
-    }
+    // In-core runs fetch nothing: everything was resident before t0.
+    stats_.bytes_fetched = scsr_.bytes_fetched() - bytes0;
+    stats_.read_seconds =
+        1e-9 * static_cast<double>(scsr_.read_ns() - read_ns0);
+    stats_.verify_seconds =
+        1e-9 * static_cast<double>(scsr_.verify_ns() - verify_ns0);
     result.ranks.assign(rank_.begin(), rank_.end());
     return result;
   }
@@ -300,7 +322,8 @@ class OocoreEngine {
   /// Producer body: read the flattened segment sequence one slot ahead
   /// of the consumer. Only file I/O happens here — no arena traffic,
   /// no rank access — so it needs no synchronization with the team
-  /// beyond the slot protocol.
+  /// beyond the slot protocol. A failed read is parked in pipe.error
+  /// for the consumer to rethrow, and ends the producer.
   void produce(Pipeline& pipe, std::int64_t total, unsigned num_segments) {
     for (std::int64_t seq = 0; seq < total; ++seq) {
       {
@@ -311,8 +334,17 @@ class OocoreEngine {
         if (pipe.done) return;
       }
       const double f0 = backend_->now_seconds();
-      scsr_.read_segment(static_cast<unsigned>(seq % num_segments),
-                         staging_[seq % 2].data());
+      try {
+        scsr_.read_segment(static_cast<unsigned>(seq % num_segments),
+                           staging_[seq % 2].data());
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(pipe.mu);
+          pipe.error = std::current_exception();
+        }
+        pipe.filled_cv.notify_one();
+        return;
+      }
       const double dt = backend_->now_seconds() - f0;
       {
         std::lock_guard<std::mutex> lock(pipe.mu);
@@ -324,9 +356,21 @@ class OocoreEngine {
     }
   }
 
+  /// Stop and join the producer (no-op when none was started).
+  static void stop_producer(Pipeline& pipe, std::thread& producer) {
+    if (!producer.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(pipe.mu);
+      pipe.done = true;
+    }
+    pipe.freed_cv.notify_all();
+    producer.join();
+  }
+
   /// Block until segment `s` (sequence `seq`) is resident and return
-  /// its payload. The blocked interval is the run's I/O wait — charged
-  /// to thread 0's Phase::kIoWait telemetry row.
+  /// its payload, or rethrow the producer's failure. The blocked
+  /// interval is the run's I/O wait — charged to thread 0's
+  /// Phase::kIoWait telemetry row.
   template <bool kTel>
   const void* acquire_segment(Pipeline& pipe, bool async, unsigned s,
                               std::int64_t seq) {
@@ -337,7 +381,10 @@ class OocoreEngine {
     const void* payload = nullptr;
     if (async) {
       std::unique_lock<std::mutex> lock(pipe.mu);
-      pipe.filled_cv.wait(lock, [&] { return pipe.slot_seq[seq % 2] == seq; });
+      pipe.filled_cv.wait(lock, [&] {
+        return pipe.slot_seq[seq % 2] == seq || pipe.error != nullptr;
+      });
+      if (pipe.slot_seq[seq % 2] != seq) std::rethrow_exception(pipe.error);
       payload = staging_[seq % 2].data();
     } else {
       scsr_.read_segment(s, staging_[0].data());
@@ -465,7 +512,6 @@ class OocoreEngine {
   std::vector<vid_t> vertex_chunks_;
   runtime::PhaseTimeline timeline_;
   OocoreStats stats_;
-  std::uint64_t bytes_fetched_base_ = 0;
   double preprocessing_seconds_ = 0.0;
 };
 

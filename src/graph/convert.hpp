@@ -1,5 +1,5 @@
 // Offline sharder: convert a raw text edge list into the segmented
-// HCSR v3 container with memory bounded by O(V + largest segment),
+// HCSR v4 container with memory bounded by O(V + largest segment),
 // never the full edge set. Backs the `hipa-convert` CLI; exposed as a
 // library so tests can drive it directly.
 #pragma once
@@ -27,7 +27,7 @@ struct ConvertStats {
   std::size_t max_segment_payload_bytes = 0;
 };
 
-/// Shard `edge_list_path` into a segmented v3 file at `out_path`.
+/// Shard `edge_list_path` into a segmented v4 file at `out_path`.
 ///
 /// Three bounded-memory passes:
 ///   1. stream the edge list to count V and per-vertex in/out degrees;

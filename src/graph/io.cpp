@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 
 namespace hipa::graph {
@@ -41,20 +43,26 @@ FilePtr open_file(const std::string& path, const char* mode) {
 // corrupted files fail with a clear message instead of an absurd
 // allocation; v1 files (no checksum) are still accepted. v3 is the
 // segmented out-of-core container (manifest + per-destination-range
-// payload slices) and is read exclusively through SegmentedCsr.
+// payload slices) and is read exclusively through SegmentedCsr. v4 is
+// v3 with the payload checksum switched from FNV-1a to LaneHash64;
+// header and manifest checksums stay FNV-1a. The writer emits v4 only;
+// both segmented versions stay readable.
 constexpr std::uint64_t kMagicV1 = 0x48435352'00000001ULL;  // "HCSR" v1
 constexpr std::uint64_t kMagicV2 = 0x48435352'00000002ULL;  // "HCSR" v2
 constexpr std::uint64_t kMagicV3 = 0x48435352'00000003ULL;  // "HCSR" v3
+constexpr std::uint64_t kMagicV4 = 0x48435352'00000004ULL;  // "HCSR" v4
 
-/// FNV-1a over a byte range (seedable so multi-span payloads chain).
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t h = 1469598103934665603ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+/// Payload checksum of a segmented file with magic `magic` (v3 or v4).
+std::uint64_t payload_checksum(std::uint64_t magic, const void* data,
+                               std::size_t bytes) {
+  return magic == kMagicV3 ? fnv1a(data, bytes) : lane_hash64(data, bytes);
+}
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
 }
 
 /// FNV-1a over the header's magic/V/E words — cheap, order-sensitive,
@@ -66,14 +74,14 @@ std::uint64_t header_checksum(std::uint64_t magic, std::uint64_t v,
   return fnv1a(words, sizeof words);
 }
 
-/// v3 header checksum: magic/V/E/S words.
-std::uint64_t header_checksum_v3(std::uint64_t v, std::uint64_t e,
-                                 std::uint64_t s) {
-  const std::uint64_t words[4] = {kMagicV3, v, e, s};
+/// Segmented (v3/v4) header checksum: magic/V/E/S words.
+std::uint64_t header_checksum_segmented(std::uint64_t magic, std::uint64_t v,
+                                        std::uint64_t e, std::uint64_t s) {
+  const std::uint64_t words[4] = {magic, v, e, s};
   return fnv1a(words, sizeof words);
 }
 
-constexpr std::size_t kV3HeaderBytes = 40;
+constexpr std::size_t kSegHeaderBytes = 40;
 constexpr std::size_t kManifestEntryBytes = 5 * sizeof(std::uint64_t);
 
 constexpr std::size_t round_up_page(std::size_t n) {
@@ -111,8 +119,10 @@ HcsrHeader check_header(const std::string& path, const void* raw,
   HcsrHeader h;
   const char* p = static_cast<const char*>(raw);
   std::memcpy(&h.magic, p, 8);
-  HIPA_CHECK(h.magic != kMagicV3,
-             "'" << path << "' is a segmented HCSR v3 file — load it with "
+  HIPA_CHECK(h.magic != kMagicV3 && h.magic != kMagicV4,
+             "'" << path << "' is a segmented HCSR v"
+                 << (h.magic == kMagicV3 ? 3 : 4)
+                 << " file — segmented HCSR v3/v4 files load with "
                     "graph::SegmentedCsr::open (the out-of-core path); "
                     "plain load_csr reads v1/v2 only");
   HIPA_CHECK(h.magic == kMagicV1 || h.magic == kMagicV2,
@@ -348,7 +358,7 @@ CsrGraph load_csr(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented HCSR v3
+// Segmented HCSR v3/v4
 // ---------------------------------------------------------------------------
 
 std::vector<SegmentPlan> plan_segments(
@@ -426,8 +436,9 @@ SegmentedCsrWriter::SegmentedCsrWriter(
 
   im.file = open_file(path, "wb");
   const std::uint64_t s = im.plans.size();
-  const std::uint64_t sum = header_checksum_v3(num_vertices, num_edges, s);
-  write_exact(im.file.get(), &kMagicV3, sizeof kMagicV3);
+  const std::uint64_t sum =
+      header_checksum_segmented(kMagicV4, num_vertices, num_edges, s);
+  write_exact(im.file.get(), &kMagicV4, sizeof kMagicV4);
   write_exact(im.file.get(), &num_vertices, sizeof num_vertices);
   write_exact(im.file.get(), &num_edges, sizeof num_edges);
   write_exact(im.file.get(), &s, sizeof s);
@@ -438,7 +449,7 @@ SegmentedCsrWriter::SegmentedCsrWriter(
               s * kManifestEntryBytes + sizeof(std::uint64_t));
   write_exact(im.file.get(), out_degrees.data(),
               out_degrees.size() * sizeof(std::uint32_t));
-  im.pos = kV3HeaderBytes + s * kManifestEntryBytes +
+  im.pos = kSegHeaderBytes + s * kManifestEntryBytes +
            sizeof(std::uint64_t) + num_vertices * sizeof(std::uint32_t);
   const std::size_t aligned = round_up_page(im.pos);
   write_zeros(im.file.get(), aligned - im.pos);
@@ -470,10 +481,10 @@ void SegmentedCsrWriter::write_segment(std::span<const eid_t> local_offsets,
   info.file_offset = im.pos;
   info.payload_bytes =
       segment_payload_bytes(plan.range.size(), plan.edges);
-  std::uint64_t sum = fnv1a(local_offsets.data(),
-                            local_offsets.size_bytes());
-  sum = fnv1a(sources.data(), sources.size_bytes(), sum);
-  info.checksum = sum;
+  LaneHash64 sum;
+  sum.update(local_offsets.data(), local_offsets.size_bytes());
+  sum.update(sources.data(), sources.size_bytes());
+  info.checksum = sum.digest();
   write_exact(im.file.get(), local_offsets.data(),
               local_offsets.size_bytes());
   write_exact(im.file.get(), sources.data(), sources.size_bytes());
@@ -505,7 +516,7 @@ void SegmentedCsrWriter::finish() {
   const std::uint64_t msum =
       fnv1a(words.data(), words.size() * sizeof(std::uint64_t));
   HIPA_CHECK(std::fseek(im.file.get(),
-                        static_cast<long>(kV3HeaderBytes), SEEK_SET) == 0,
+                        static_cast<long>(kSegHeaderBytes), SEEK_SET) == 0,
              "cannot seek '" << im.path << "' to back-patch the manifest");
   if (!words.empty()) {
     write_exact(im.file.get(), words.data(),
@@ -556,6 +567,7 @@ struct SegmentedCsr::Impl {
   int fd = -1;
 #endif
   std::FILE* file = nullptr;  ///< non-mmap fallback (position-locked)
+  std::uint64_t magic = 0;    ///< kMagicV3 or kMagicV4: the payload hash
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
   std::vector<SegmentInfo> segments;
@@ -569,6 +581,17 @@ struct SegmentedCsr::Impl {
   std::size_t mapped_bytes = 0;
   std::size_t peak_mapped = 0;
   mutable std::atomic<std::uint64_t> fetched{0};
+  mutable std::atomic<std::uint64_t> read_ns{0};
+  mutable std::atomic<std::uint64_t> verify_ns{0};
+
+  /// Checksum a fetched payload of the segment `e` describes with the
+  /// file's payload hash, charging the time to verify_ns.
+  std::uint64_t verify(const void* payload, const SegmentInfo& e) const {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t sum = payload_checksum(magic, payload, e.payload_bytes);
+    verify_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
+    return sum;
+  }
 
   ~Impl() {
 #if HIPA_IO_HAVE_MMAP
@@ -642,23 +665,27 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
   HIPA_CHECK(head[0] != kMagicV1 && head[0] != kMagicV2,
              "'" << path << "' is a plain HCSR v"
                  << (head[0] == kMagicV1 ? 1 : 2)
-                 << " file, not the segmented v3 container — load it with "
-                    "load_csr, or re-shard it with hipa-convert / "
+                 << " file, not the segmented v3/v4 container — load it "
+                    "with load_csr, or re-shard it with hipa-convert / "
                     "save_segmented_csr for out-of-core runs");
-  HIPA_CHECK(head[0] == kMagicV3,
-             "'" << path << "' is not a segmented HCSR v3 file (magic 0x"
+  HIPA_CHECK(head[0] == kMagicV3 || head[0] == kMagicV4,
+             "'" << path << "' is not a segmented HCSR v3/v4 file (magic 0x"
                  << std::hex << head[0] << std::dec
                  << ") — refusing to parse a foreign format");
-  HIPA_CHECK(file_bytes >= kV3HeaderBytes,
-             "'" << path << "' truncated inside the v3 header ("
-                 << file_bytes << " of " << kV3HeaderBytes << " bytes)");
+  im.magic = head[0];
+  const int version = im.magic == kMagicV3 ? 3 : 4;
+  HIPA_CHECK(file_bytes >= kSegHeaderBytes,
+             "'" << path << "' truncated inside the v" << version
+                 << " header (" << file_bytes << " of " << kSegHeaderBytes
+                 << " bytes)");
   im.num_vertices = head[1];
   im.num_edges = head[2];
   const std::uint64_t num_segments = head[3];
-  const std::uint64_t want =
-      header_checksum_v3(im.num_vertices, im.num_edges, num_segments);
+  const std::uint64_t want = header_checksum_segmented(
+      im.magic, im.num_vertices, im.num_edges, num_segments);
   HIPA_CHECK(head[4] == want,
-             "'" << path << "' v3 header checksum mismatch (file 0x"
+             "'" << path << "' v" << version
+                 << " header checksum mismatch (file 0x"
                  << std::hex << head[4] << ", computed 0x" << want
                  << std::dec << ") — corrupted or foreign file");
   HIPA_CHECK(im.num_vertices < kInvalidVid,
@@ -670,7 +697,7 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
 
   const std::uint64_t manifest_bytes =
       num_segments * kManifestEntryBytes + sizeof(std::uint64_t);
-  const std::uint64_t degrees_off = kV3HeaderBytes + manifest_bytes;
+  const std::uint64_t degrees_off = kSegHeaderBytes + manifest_bytes;
   const std::uint64_t degrees_bytes =
       im.num_vertices * sizeof(std::uint32_t);
   HIPA_CHECK(file_bytes >= degrees_off + degrees_bytes,
@@ -680,7 +707,7 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
                  << ")");
 
   std::vector<std::uint64_t> words(num_segments * 5 + 1);
-  im.read_at(kV3HeaderBytes, words.data(), manifest_bytes);
+  im.read_at(kSegHeaderBytes, words.data(), manifest_bytes);
   const std::uint64_t msum =
       fnv1a(words.data(), num_segments * kManifestEntryBytes);
   HIPA_CHECK(words.back() == msum,
@@ -774,8 +801,10 @@ std::size_t SegmentedCsr::total_payload_bytes() const {
 
 void SegmentedCsr::read_segment(unsigned s, void* dst) const {
   const SegmentInfo& e = segment(s);
+  const auto t0 = std::chrono::steady_clock::now();
   impl_->read_at(e.file_offset, dst, e.payload_bytes);
-  const std::uint64_t sum = fnv1a(dst, e.payload_bytes);
+  impl_->read_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
+  const std::uint64_t sum = impl_->verify(dst, e);
   HIPA_CHECK(sum == e.checksum,
              "'" << impl_->path << "' segment " << s
                  << " checksum mismatch (file manifest 0x" << std::hex
@@ -803,6 +832,7 @@ const void* SegmentedCsr::map_segment(unsigned s) {
   std::lock_guard<std::mutex> lock(im.mu);
   if (im.mapped[s] != nullptr) return im.mapped[s];
   const void* base = nullptr;
+  const auto t0 = std::chrono::steady_clock::now();
 #if HIPA_IO_HAVE_MMAP
   void* map = ::mmap(nullptr, e.payload_bytes, PROT_READ, MAP_PRIVATE,
                      im.fd, static_cast<off_t>(e.file_offset));
@@ -819,7 +849,8 @@ const void* SegmentedCsr::map_segment(unsigned s) {
     base = copy.get();
     im.mapped_copy[s] = std::move(copy);
   }
-  const std::uint64_t sum = fnv1a(base, e.payload_bytes);
+  im.read_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
+  const std::uint64_t sum = im.verify(base, e);
   if (sum != e.checksum) {
 #if HIPA_IO_HAVE_MMAP
     if (!im.mapped_copy[s]) {
@@ -864,6 +895,12 @@ std::size_t SegmentedCsr::peak_mapped_bytes() const {
 }
 std::uint64_t SegmentedCsr::bytes_fetched() const {
   return impl_->fetched.load(std::memory_order_relaxed);
+}
+std::uint64_t SegmentedCsr::read_ns() const {
+  return impl_->read_ns.load(std::memory_order_relaxed);
+}
+std::uint64_t SegmentedCsr::verify_ns() const {
+  return impl_->verify_ns.load(std::memory_order_relaxed);
 }
 
 }  // namespace hipa::graph

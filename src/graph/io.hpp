@@ -1,5 +1,5 @@
 // Graph serialization: whitespace edge lists (SNAP/KONECT style), a
-// fast binary CSR container (HCSR v1/v2), and the segmented HCSR v3
+// fast binary CSR container (HCSR v1/v2), and the segmented HCSR v3/v4
 // container for out-of-core execution (per-destination-range segment
 // slices with a checksummed manifest, mapped or read one at a time).
 #pragma once
@@ -47,18 +47,18 @@ void write_edge_list(const std::string& path, vid_t num_vertices,
 
 /// Binary CSR container (".hcsr"): magic, version, V, E, offsets,
 /// targets. Little-endian, host-width types as defined in types.hpp.
-/// Reads v1 and v2; segmented v3 files are rejected with a pointer to
-/// SegmentedCsr.
+/// Reads v1 and v2; segmented v3/v4 files are rejected with a pointer
+/// to SegmentedCsr.
 void save_csr(const std::string& path, const CsrGraph& g);
 [[nodiscard]] CsrGraph load_csr(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Segmented HCSR v3 — the out-of-core container.
+// Segmented HCSR v4 — the out-of-core container.
 // ---------------------------------------------------------------------------
 //
 // Layout (little-endian, host-width types):
 //
-//   [0]  u64 magic (HCSR v3)   [8]  u64 num_vertices
+//   [0]  u64 magic (HCSR v4)   [8]  u64 num_vertices
 //   [16] u64 num_edges         [24] u64 num_segments
 //   [32] u64 header checksum (FNV-1a over the four words above)
 //   [40] manifest: num_segments x { u64 v_begin, v_end, file_offset,
@@ -74,6 +74,11 @@ void save_csr(const std::string& path, const CsrGraph& g);
 // the segment (offsets[0] == 0) followed by ne vid_t sources, each
 // vertex's sources ascending — exactly the order CsrGraph::transpose
 // produces, so a reassembled file is bitwise the in-core transpose.
+//
+// A payload's checksum is LaneHash64 (common/checksum.hpp) over its
+// bytes. HCSR v3 is the same layout with an FNV-1a payload checksum;
+// the writer emits v4 only, and SegmentedCsr reads both, picking the
+// payload hash from the magic.
 
 /// One manifest entry.
 struct SegmentInfo {
@@ -81,7 +86,7 @@ struct SegmentInfo {
   vid_t v_end = 0;  ///< destination range [v_begin, v_end)
   std::uint64_t file_offset = 0;  ///< page-aligned payload start
   std::uint64_t payload_bytes = 0;
-  std::uint64_t checksum = 0;  ///< FNV-1a over the payload bytes
+  std::uint64_t checksum = 0;  ///< payload hash (v4 LaneHash64, v3 FNV-1a)
 
   [[nodiscard]] vid_t num_vertices() const { return v_end - v_begin; }
 };
@@ -108,7 +113,7 @@ struct SegmentPlan {
     std::span<const std::uint64_t> in_degrees,
     std::size_t target_segment_bytes);
 
-/// Streaming v3 writer shared by save_segmented_csr and the offline
+/// Streaming v4 writer shared by save_segmented_csr and the offline
 /// hipa-convert sharder: the full layout is computed up front from the
 /// plan, payloads are appended in order (checksummed as they stream
 /// through), and finish() back-patches the manifest.
@@ -140,13 +145,13 @@ class SegmentedCsrWriter {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shard an in-memory Graph into a segmented v3 file: the pull (in)
+/// Shard an in-memory Graph into a segmented v4 file: the pull (in)
 /// direction is sliced by destination range, out-degrees ride along
 /// for the resident inverse-degree table.
 void save_segmented_csr(const std::string& path, const Graph& g,
                         std::size_t target_segment_bytes);
 
-/// Read-side handle over a segmented v3 file. Opening validates the
+/// Read-side handle over a segmented v3/v4 file. Opening validates the
 /// header, manifest (checksums, contiguous coverage, in-file bounds)
 /// and loads only the degree table; segment payloads are fetched on
 /// demand via read_segment (pread into caller storage) or
@@ -205,6 +210,11 @@ class SegmentedCsr {
   [[nodiscard]] std::size_t peak_mapped_bytes() const;
   /// Cumulative payload bytes fetched (reads + fresh maps).
   [[nodiscard]] std::uint64_t bytes_fetched() const;
+  /// Cumulative nanoseconds spent getting payload bytes (pread, or
+  /// mmap + madvise) and checksumming them. A mapping's page faults
+  /// land in verify, the first pass that touches its pages.
+  [[nodiscard]] std::uint64_t read_ns() const;
+  [[nodiscard]] std::uint64_t verify_ns() const;
 
  private:
   struct Impl;

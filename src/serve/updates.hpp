@@ -104,7 +104,7 @@ struct RefreshOptions {
   /// inserts of one edge are idempotent).
   graph::BuildOptions build{.sort_neighbors = true,
                             .remove_duplicates = true};
-  /// Non-empty: full recomputes stream from this segmented HCSR v3
+  /// Non-empty: full recomputes stream from this segmented HCSR v3/v4
   /// file through OocoreEngine instead of running over the in-memory
   /// CSR — the shard-fleet refresh mode, where a process serves a
   /// vertex slice without holding the whole in-core graph. File-backed

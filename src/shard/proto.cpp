@@ -2,16 +2,6 @@
 
 namespace hipa::shard {
 
-std::uint64_t fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 namespace {
 
 /// Element-count sanity cap for decoded containers: with 4-byte

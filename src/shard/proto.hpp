@@ -13,11 +13,11 @@
 //   u64 checksum     FNV-1a over the payload bytes
 //   u8  payload[payload_len]
 //
-// The checksum is the same FNV-1a the segmented HCSR v3 container uses
-// for its payload slices — one integrity discipline across disk and
-// wire. A frame that fails magic, length, or checksum validation
-// poisons the connection (the transport returns false and the peer
-// reconnects); there is no resync inside a stream.
+// The checksum is FNV-1a from common/checksum.hpp, the function the
+// HCSR containers use for their headers and manifests. A frame that
+// fails magic, length, or checksum validation poisons the connection
+// (the transport returns false and the peer reconnects); there is no
+// resync inside a stream.
 //
 // Message payloads are encoded with WireWriter/WireReader below.
 // Every vertex id on the wire is a GLOBAL id; shards translate to
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/types.hpp"
 #include "serve/query.hpp"
 #include "serve/topk_index.hpp"
@@ -62,11 +63,6 @@ struct Frame {
   MsgType type = MsgType::kError;
   std::vector<std::uint8_t> payload;
 };
-
-/// FNV-1a 64-bit — the same function graph/io uses for segment
-/// payloads, reimplemented here so the wire layer depends only on
-/// common/.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Payload encoding primitives

@@ -1,5 +1,5 @@
 // One shard: a RankService that owns a contiguous vertex range of a
-// segmented HCSR v3 graph and answers the wire protocol over any
+// segmented HCSR v3/v4 graph and answers the wire protocol over any
 // transport listener.
 //
 // The shard's snapshot store is sized to its OWNED RANGE, not the
@@ -41,7 +41,7 @@ struct ShardServerOptions {
   std::uint32_t shard_id = 0;
   /// Owned global vertex range; must lie inside the graph's universe.
   VertexRange range{};
-  /// Segmented HCSR v3 file (tools/hipa-convert output) shared by the
+  /// Segmented HCSR v3/v4 file (tools/hipa-convert output) shared by the
   /// whole fleet.
   std::string graph_path;
   /// OocoreEngine threads for recomputes.

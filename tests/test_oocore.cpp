@@ -1,6 +1,7 @@
-// Out-of-core subsystem: segmented HCSR v3 container, streaming edge
-// list parsing, the hipa-convert sharder core, and the OocoreEngine's
-// streaming-vs-in-core bitwise-identity + budget contracts.
+// Out-of-core subsystem: segmented HCSR v4 container (and legacy v3
+// reads), streaming edge list parsing, the hipa-convert sharder core,
+// and the OocoreEngine's streaming-vs-in-core bitwise-identity, budget
+// and fail-closed contracts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "algos/pagerank.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "engines/backend.hpp"
 #include "engines/oocore_engine.hpp"
@@ -65,6 +67,52 @@ void write_file(const std::string& path, const void* data,
   std::fclose(f);
 }
 
+/// Flip the lowest bit of byte `offset` of `path` in place (same inode,
+/// so a handle already open on the file sees the damage).
+void flip_byte_in_place(const std::string& path, std::uint64_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_NE(std::fputc(c ^ 0x01, f), EOF);
+  std::fclose(f);
+}
+
+std::uint64_t get_u64(const std::vector<char>& b, std::size_t off) {
+  std::uint64_t v;
+  std::memcpy(&v, b.data() + off, sizeof v);
+  return v;
+}
+
+void put_u64(std::vector<char>& b, std::size_t off, std::uint64_t v) {
+  std::memcpy(b.data() + off, &v, sizeof v);
+}
+
+/// Rewrite the segmented v4 file `v4` as a valid HCSR v3 file `v3`: the
+/// layout is shared, so only the magic, the header checksum, each
+/// payload checksum (FNV-1a in v3) and the manifest checksum change.
+void downgrade_to_v3(const std::string& v4, const std::string& v3) {
+  constexpr std::uint64_t kMagicV3 = 0x48435352'00000003ULL;
+  constexpr std::size_t kManifest = 40;
+  std::vector<char> b = slurp(v4);
+  const std::uint64_t head[4] = {kMagicV3, get_u64(b, 8), get_u64(b, 16),
+                                 get_u64(b, 24)};
+  put_u64(b, 0, kMagicV3);
+  put_u64(b, 32, hipa::fnv1a(head, sizeof head));
+  const std::uint64_t segments = head[3];
+  for (std::uint64_t s = 0; s < segments; ++s) {
+    const std::size_t entry = kManifest + s * 40;
+    const std::uint64_t offset = get_u64(b, entry + 16);
+    const std::uint64_t bytes = get_u64(b, entry + 24);
+    put_u64(b, entry + 32, hipa::fnv1a(b.data() + offset, bytes));
+  }
+  put_u64(b, kManifest + segments * 40,
+          hipa::fnv1a(b.data() + kManifest, segments * 40));
+  write_file(v3, b.data(), b.size());
+}
+
 /// Skewed test graph sharded small enough to span several segments.
 Graph zipf_graph() {
   ZipfParams zp;
@@ -76,6 +124,20 @@ Graph zipf_graph() {
 }
 
 constexpr std::size_t kSmallSegment = 4096;
+
+std::vector<rank_t> run_oocore(const std::string& path, unsigned threads,
+                               bool streaming, bool prefetch,
+                               unsigned iterations = 15) {
+  NativeBackend backend;
+  OocoreOptions opt;
+  opt.num_threads = threads;
+  opt.streaming = streaming;
+  opt.prefetch = prefetch;
+  OocoreEngine eng(path, opt, backend);
+  PageRankOptions pr;
+  pr.iterations = iterations;
+  return eng.run(pr).ranks;
+}
 
 }  // namespace
 
@@ -275,6 +337,104 @@ TEST(OocoreFormat, VersionSkewIsExplainedBothWays) {
   std::remove(v2.c_str());
 }
 
+TEST(OocoreFormat, VersionSkewIsExplainedBothWaysForV4) {
+  const Graph g = zipf_graph();
+  const std::string v4 = tmp_path("oocore_skew.hcsr4");
+  const std::string v3 = tmp_path("oocore_skew_v3.hcsr3");
+  const std::string v2 = tmp_path("oocore_skew_v4.hcsr");
+  save_segmented_csr(v4, g, kSmallSegment);
+  downgrade_to_v3(v4, v3);
+  save_csr(v2, g.out);
+
+  // The writer emits v4, and the in-core loader names the version it
+  // found and points at SegmentedCsr for either segmented version.
+  const std::string msg4 = error_message([&] { (void)load_csr(v4); });
+  EXPECT_NE(msg4.find("segmented HCSR v4 file"), std::string::npos) << msg4;
+  EXPECT_NE(msg4.find("SegmentedCsr"), std::string::npos) << msg4;
+  const std::string msg3 = error_message([&] { (void)load_csr(v3); });
+  EXPECT_NE(msg3.find("segmented HCSR v3 file"), std::string::npos) << msg3;
+  // The segmented opener names both versions it accepts.
+  const std::string msg2 =
+      error_message([&] { (void)SegmentedCsr::open(v2); });
+  EXPECT_NE(msg2.find("v3/v4"), std::string::npos) << msg2;
+  // A header checksum is bound to its version: a v4 header relabelled
+  // v3 (or the reverse) is rejected, not parsed with the wrong hash.
+  std::vector<char> relabelled = slurp(v4);
+  put_u64(relabelled, 0, 0x48435352'00000003ULL);
+  write_file(v2, relabelled.data(), relabelled.size());
+  const std::string bad =
+      error_message([&] { (void)SegmentedCsr::open(v2); });
+  EXPECT_NE(bad.find("v3 header checksum mismatch"), std::string::npos)
+      << bad;
+  std::remove(v4.c_str());
+  std::remove(v3.c_str());
+  std::remove(v2.c_str());
+}
+
+TEST(OocoreFormat, ReadsLegacyV3Files) {
+  const Graph g = zipf_graph();
+  const std::string v4 = tmp_path("oocore_legacy.hcsr4");
+  const std::string v3 = tmp_path("oocore_legacy.hcsr3");
+  save_segmented_csr(v4, g, kSmallSegment);
+  downgrade_to_v3(v4, v3);
+  {
+    // Same layout; only the payload hashes differ.
+    SegmentedCsr a = SegmentedCsr::open(v4);
+    SegmentedCsr b = SegmentedCsr::open(v3);
+    ASSERT_EQ(a.num_segments(), b.num_segments());
+    for (unsigned s = 0; s < a.num_segments(); ++s) {
+      EXPECT_EQ(a.segment(s).file_offset, b.segment(s).file_offset);
+      EXPECT_EQ(a.segment(s).payload_bytes, b.segment(s).payload_bytes);
+      EXPECT_NE(a.segment(s).checksum, b.segment(s).checksum);
+    }
+  }
+  // A v3 file streams bitwise what the in-core run computes.
+  const std::vector<rank_t> incore =
+      run_oocore(v4, 3, /*streaming=*/false, /*prefetch=*/false);
+  EXPECT_EQ(incore, run_oocore(v3, 3, true, true));
+  EXPECT_EQ(incore, run_oocore(v3, 3, true, false));
+
+  // And its FNV payload checks still fail closed on both fetch paths.
+  unsigned last = 0;
+  {
+    SegmentedCsr sc = SegmentedCsr::open(v3);
+    last = sc.num_segments() - 1;
+    const SegmentInfo& info = sc.segment(last);
+    flip_byte_in_place(v3, info.file_offset + info.payload_bytes / 2);
+  }
+  SegmentedCsr sc = SegmentedCsr::open(v3);
+  std::vector<char> payload(sc.max_payload_bytes());
+  const std::string msg =
+      error_message([&] { sc.read_segment(last, payload.data()); });
+  EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
+  const std::string mmsg =
+      error_message([&] { (void)sc.map_segment(last); });
+  EXPECT_NE(mmsg.find("checksum mismatch"), std::string::npos) << mmsg;
+  sc.read_segment(0, payload.data());
+  std::remove(v4.c_str());
+  std::remove(v3.c_str());
+}
+
+TEST(OocoreFormat, AccountsReadAndVerifyTime) {
+  const Graph g = zipf_graph();
+  const std::string path = tmp_path("oocore_split.hcsr4");
+  save_segmented_csr(path, g, kSmallSegment);
+  SegmentedCsr sc = SegmentedCsr::open(path);
+  EXPECT_EQ(sc.read_ns(), 0u);
+  EXPECT_EQ(sc.verify_ns(), 0u);
+  std::vector<char> payload(sc.max_payload_bytes());
+  sc.read_segment(0, payload.data());
+  const std::uint64_t read0 = sc.read_ns();
+  const std::uint64_t verify0 = sc.verify_ns();
+  EXPECT_GT(read0, 0u);
+  EXPECT_GT(verify0, 0u);
+  (void)sc.map_segment(1);  // a fresh mapping is read and verified too
+  EXPECT_GT(sc.read_ns(), read0);
+  EXPECT_GT(sc.verify_ns(), verify0);
+  sc.unmap_segment(1);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // hipa-convert core
 // ---------------------------------------------------------------------------
@@ -322,24 +482,6 @@ TEST(OocoreConvert, ByteIdenticalToInMemorySharding) {
 // ---------------------------------------------------------------------------
 // Out-of-core engine: bitwise identity, budget, telemetry
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<rank_t> run_oocore(const std::string& path, unsigned threads,
-                               bool streaming, bool prefetch,
-                               unsigned iterations = 15) {
-  NativeBackend backend;
-  OocoreOptions opt;
-  opt.num_threads = threads;
-  opt.streaming = streaming;
-  opt.prefetch = prefetch;
-  OocoreEngine eng(path, opt, backend);
-  PageRankOptions pr;
-  pr.iterations = iterations;
-  return eng.run(pr).ranks;
-}
-
-}  // namespace
 
 TEST(OocoreEngineTest, BitwiseIdenticalAcrossModesAndGraphs) {
   struct Case {
@@ -467,6 +609,68 @@ TEST(OocoreEngineTest, ChargesIoWaitTelemetry) {
   NativeBackend backend2;
   OocoreEngine eng2(path, opt, backend2);
   EXPECT_EQ(eng2.run(plain).ranks, telemetered.ranks);
+  std::remove(path.c_str());
+}
+
+TEST(OocoreEngineTest, SplitsFetchIntoReadAndVerify) {
+  const Graph g = zipf_graph();
+  const std::string path = tmp_path("oocore_fetch_split.hcsr4");
+  save_segmented_csr(path, g, kSmallSegment);
+  for (const bool prefetch : {true, false}) {
+    SCOPED_TRACE(prefetch ? "prefetch" : "sync");
+    NativeBackend backend;
+    OocoreOptions opt;
+    opt.num_threads = 2;
+    opt.prefetch = prefetch;
+    OocoreEngine eng(path, opt, backend);
+    PageRankOptions pr;
+    pr.iterations = 4;
+    (void)eng.run(pr);
+    const auto& st = eng.stats();
+    EXPECT_GT(st.read_seconds, 0.0);
+    EXPECT_GT(st.verify_seconds, 0.0);
+    // Both are measured inside the reads that fetch_seconds brackets.
+    EXPECT_LE(st.read_seconds + st.verify_seconds, st.fetch_seconds);
+  }
+  // An in-core run fetches everything before it starts.
+  NativeBackend backend;
+  OocoreOptions opt;
+  opt.num_threads = 2;
+  opt.streaming = false;
+  OocoreEngine eng(path, opt, backend);
+  PageRankOptions pr;
+  pr.iterations = 2;
+  (void)eng.run(pr);
+  EXPECT_EQ(eng.stats().read_seconds, 0.0);
+  EXPECT_EQ(eng.stats().verify_seconds, 0.0);
+  std::remove(path.c_str());
+}
+
+TEST(OocoreEngineTest, CorruptPayloadMidRunThrowsOnTheCaller) {
+  const Graph g = zipf_graph();
+  const std::string path = tmp_path("oocore_midrun.hcsr4");
+  for (const bool prefetch : {true, false}) {
+    SCOPED_TRACE(prefetch ? "prefetch" : "sync");
+    save_segmented_csr(path, g, kSmallSegment);
+    NativeBackend backend;
+    OocoreOptions opt;
+    opt.num_threads = 2;
+    opt.prefetch = prefetch;
+    OocoreEngine eng(path, opt, backend);
+    // The damage lands after construction: open() validated only the
+    // header and manifest, so the fetch inside run() must catch it.
+    const SegmentInfo& info =
+        eng.graph().segment(eng.graph().num_segments() / 2);
+    flip_byte_in_place(path, info.file_offset + info.payload_bytes / 2);
+    PageRankOptions pr;
+    pr.iterations = 5;
+    const std::string msg = error_message([&] { (void)eng.run(pr); });
+    EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
+    // The failed run tore down its producer and team: running again
+    // fails the same way instead of hanging.
+    const std::string again = error_message([&] { (void)eng.run(pr); });
+    EXPECT_NE(again.find("checksum mismatch"), std::string::npos) << again;
+  }
   std::remove(path.c_str());
 }
 

@@ -42,7 +42,7 @@ std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// Small skewed graph saved as a segmented v3 file (several segments).
+/// Small skewed graph saved as a segmented v4 file (several segments).
 std::string make_graph_file(const char* name, vid_t n, eid_t m,
                             std::uint64_t seed) {
   const std::vector<Edge> edges = graph::generate_erdos_renyi(n, m, seed);

@@ -1,9 +1,9 @@
 // hipa-convert: offline sharder from text edge lists to the segmented
-// HCSR v3 container (graph/convert.hpp). Runs in bounded memory —
+// HCSR v4 container (graph/convert.hpp). Runs in bounded memory —
 // O(V + largest segment) — so graphs whose CSR exceeds RAM can be
 // prepared on the same machine that will stream them.
 //
-//   hipa-convert <edges.txt> <out.hcsr3> [--segment-bytes N]
+//   hipa-convert <edges.txt> <out.hcsr4> [--segment-bytes N]
 //                                        [--chunk-edges N]
 
 #include <cstdio>
@@ -18,10 +18,10 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s <edge-list> <out.hcsr3> [options]\n"
+      "usage: %s <edge-list> <out.hcsr4> [options]\n"
       "\n"
       "Shard a whitespace edge list ('src dst' per line, '#'/'%%'\n"
-      "comments) into a segmented HCSR v3 file for out-of-core\n"
+      "comments) into a segmented HCSR v4 file for out-of-core\n"
       "PageRank. Memory use is bounded by the vertex count plus one\n"
       "segment, never the full edge set.\n"
       "\n"

@@ -2,7 +2,7 @@
 //
 // Launcher mode (default) forks N shard processes — each one this
 // same binary re-exec'd in --serve mode — over even vertex ranges of
-// a segmented HCSR v3 graph, connects a ShardRouter to the fleet, and
+// a segmented HCSR v3/v4 graph, connects a ShardRouter to the fleet, and
 // drops into a REPL:
 //
 //   hipa-shardctl --graph=web.hcsr --shards=4
