@@ -52,6 +52,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "runtime/metrics.hpp"
 #include "runtime/placement.hpp"
 #include "serve/query.hpp"
 #include "serve/service.hpp"
@@ -211,7 +212,9 @@ DriveResult drive(shard::ShardRouter& router, vid_t n, unsigned clients,
   DriveResult result;
   result.clients = clients;
   std::atomic<bool> stop{false};
-  std::vector<serve::LatencyRecorder> recorders(clients);
+  runtime::metrics::MetricsRegistry reg;
+  const runtime::metrics::Histogram latency = reg.histogram(
+      "client_latency_seconds", "Client-side request latency", {}, 1e-9);
   std::vector<std::uint64_t> counts(clients, 0);
   std::vector<std::thread> threads;
   Timer wall;
@@ -227,9 +230,9 @@ DriveResult drive(shard::ShardRouter& router, vid_t n, unsigned clients,
             serve::Query::batch(std::move(ids)), serve::Query::top_k(10)};
         Timer t;
         const shard::RouterReply reply = router.execute_batch(qs);
-        const double sec = t.seconds();
+        const std::uint64_t ns = runtime::metrics::seconds_to_ns(t.seconds());
         for (std::size_t i = 0; i < reply.results.size(); ++i) {
-          recorders[c].record(sec);
+          latency.record(ns);
         }
         counts[c] += reply.results.size();
       }
@@ -239,12 +242,9 @@ DriveResult drive(shard::ShardRouter& router, vid_t n, unsigned clients,
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   result.seconds = wall.seconds();
-  serve::LatencyRecorder merged;
-  for (unsigned c = 0; c < clients; ++c) {
-    merged.merge(recorders[c]);
-    result.requests += counts[c];
-  }
-  result.latency = merged.summarize();
+  for (unsigned c = 0; c < clients; ++c) result.requests += counts[c];
+  result.latency = serve::latency_summary(
+      *reg.snapshot().find_histogram("client_latency_seconds"));
   result.qps = result.seconds > 0.0
                    ? static_cast<double>(result.requests) / result.seconds
                    : 0.0;

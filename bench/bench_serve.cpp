@@ -4,7 +4,8 @@
 // Four read-only mixes (point / batch / topk / mixed) run first, each
 // against a fresh RankService over one published snapshot: C client
 // threads issue requests for a fixed window, per-request wall latency
-// lands in client-local recorders and is merged into p50/p95/p99.
+// lands in one metrics::Histogram (per-thread shards, merged on
+// snapshot) and is read back as p50/p95/p99 and an exact mean.
 //
 // The `concurrent_refresh` section then repeats the mixed workload
 // while the background UpdateRefresher keeps draining edge-update
@@ -94,7 +95,9 @@ MixResult drive(const std::string& mix, serve::RankService& service,
   result.clients = clients;
 
   std::atomic<bool> stop{false};
-  std::vector<serve::LatencyRecorder> recorders(clients);
+  runtime::metrics::MetricsRegistry reg;
+  const runtime::metrics::Histogram latency = reg.histogram(
+      "client_latency_seconds", "Client-side request latency", {}, 1e-9);
   std::vector<std::uint64_t> counts(clients, 0);
   std::vector<std::thread> threads;
   Timer wall;
@@ -106,9 +109,9 @@ MixResult drive(const std::string& mix, serve::RankService& service,
         const std::vector<serve::Query> qs = make_batch(mix, n, rng);
         Timer t;
         const auto rs = service.execute_batch(qs);
-        const double sec = t.seconds();
+        const std::uint64_t ns = runtime::metrics::seconds_to_ns(t.seconds());
         for (std::size_t i = 0; i < rs.size(); ++i) {
-          recorders[c].record(sec);
+          latency.record(ns);
           if (torn_reads != nullptr &&
               (rs[i].epoch != rs[0].epoch || rs[i].epoch < last_epoch)) {
             torn_reads->fetch_add(1, std::memory_order_relaxed);
@@ -124,12 +127,9 @@ MixResult drive(const std::string& mix, serve::RankService& service,
   for (auto& t : threads) t.join();
   result.seconds = wall.seconds();
 
-  serve::LatencyRecorder merged;
-  for (unsigned c = 0; c < clients; ++c) {
-    merged.merge(recorders[c]);
-    result.requests += counts[c];
-  }
-  result.latency = merged.summarize();
+  for (unsigned c = 0; c < clients; ++c) result.requests += counts[c];
+  result.latency = serve::latency_summary(
+      *reg.snapshot().find_histogram("client_latency_seconds"));
   result.qps = result.seconds > 0.0
                    ? static_cast<double>(result.requests) / result.seconds
                    : 0.0;

@@ -7,6 +7,7 @@
 //   4. push edge updates into the MPSC queue, refresh, and watch the
 //      next epoch answer with fresh ranks.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "graph/datasets.hpp"
@@ -70,9 +71,20 @@ int main() {
   }
   std::printf("\n");
 
+  // Lifetime counters, read from the metrics registry.
   const serve::RankService::Stats stats = service.stats();
-  std::printf("service: %llu requests, p99 %.1f us\n",
-              static_cast<unsigned long long>(stats.requests),
-              stats.latency.p99_seconds * 1e6);
+  std::printf("service: %llu requests",
+              static_cast<unsigned long long>(stats.requests));
+  for (const serve::QueryKind kind :
+       {serve::QueryKind::kPoint, serve::QueryKind::kBatch,
+        serve::QueryKind::kTopK}) {
+    const serve::LatencySummary& l =
+        stats.latency[static_cast<unsigned>(kind)];
+    std::printf(", %s p99 %.1f us (%llu)",
+                std::string(serve::query_kind_name(kind)).c_str(),
+                l.p99_seconds * 1e6,
+                static_cast<unsigned long long>(l.count));
+  }
+  std::printf("\n");
   return 0;
 }

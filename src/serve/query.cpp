@@ -1,7 +1,6 @@
 #include "serve/query.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.hpp"
 
@@ -81,32 +80,6 @@ QueryResult evaluate(const Snapshot& snap, const Query& q, unsigned node) {
       break;
   }
   return out;
-}
-
-LatencySummary LatencyRecorder::summarize() const {
-  LatencySummary s;
-  s.count = samples_.size();
-  if (samples_.empty()) return s;
-  std::vector<double> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  s.mean_seconds =
-      std::accumulate(sorted.begin(), sorted.end(), 0.0) /
-      static_cast<double>(sorted.size());
-  // Nearest-rank percentile: value at ceil(p * n) in 1-based order.
-  auto pct = [&](double p) {
-    const std::size_t n = sorted.size();
-    std::size_t rank = static_cast<std::size_t>(
-        p * static_cast<double>(n) + 0.999999);
-    if (rank < 1) rank = 1;
-    if (rank > n) rank = n;
-    return sorted[rank - 1];
-  };
-  s.p50_seconds = pct(0.50);
-  s.p95_seconds = pct(0.95);
-  s.p99_seconds = pct(0.99);
-  s.p999_seconds = pct(0.999);
-  s.max_seconds = sorted.back();
-  return s;
 }
 
 }  // namespace hipa::serve

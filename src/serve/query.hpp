@@ -1,5 +1,4 @@
-// Query vocabulary of the serving layer, snapshot-local evaluators,
-// and the latency recorder behind the service's percentile stats.
+// Query vocabulary of the serving layer and snapshot-local evaluators.
 //
 // Three request kinds cover the ROADMAP's read traffic:
 //
@@ -104,41 +103,5 @@ void batch_lookup(const Snapshot& snap, std::span<const vid_t> vertices,
 /// reference the service's sharded execution must agree with).
 [[nodiscard]] QueryResult evaluate(const Snapshot& snap, const Query& q,
                                    unsigned node = 0);
-
-// ---------------------------------------------------------------------------
-// Latency recording
-// ---------------------------------------------------------------------------
-
-/// Percentile summary of recorded request latencies.
-struct LatencySummary {
-  std::uint64_t count = 0;
-  double mean_seconds = 0.0;
-  double p50_seconds = 0.0;
-  double p95_seconds = 0.0;
-  double p99_seconds = 0.0;
-  double p999_seconds = 0.0;
-  double max_seconds = 0.0;
-};
-
-/// Append-only latency sample sink. Not thread-safe by itself — the
-/// service serializes recording under its stats mutex; benches own one
-/// recorder per load-generator thread and merge.
-class LatencyRecorder {
- public:
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  void record(double seconds) { samples_.push_back(seconds); }
-  void merge(const LatencyRecorder& o) {
-    samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
-  }
-  [[nodiscard]] std::uint64_t count() const { return samples_.size(); }
-  [[nodiscard]] std::span<const double> samples() const { return samples_; }
-
-  /// Sort-and-scan summary (nearest-rank percentiles). O(n log n);
-  /// called off the request path.
-  [[nodiscard]] LatencySummary summarize() const;
-
- private:
-  std::vector<double> samples_;
-};
 
 }  // namespace hipa::serve

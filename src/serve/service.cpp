@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "runtime/affinity.hpp"
-#include "runtime/trace.hpp"
 #include "serve/metrics_export.hpp"
 
 namespace hipa::serve {
@@ -40,15 +39,13 @@ RankService::RankService(const SnapshotStore& store, ServiceOptions opt)
     : store_(store), opt_(std::move(opt)) {
   const unsigned nodes = store_.num_nodes();
   HIPA_CHECK(nodes >= 1, "store has no nodes");
-  timeline_.reset(nodes);
-  if (!opt_.trace_path.empty()) timeline_.enable_spans();
-  latency_.reserve(opt_.latency_reserve);
 
   namespace m = runtime::metrics;
   m::MetricsRegistry* reg = nullptr;
   if (opt_.metrics) {
     reg = opt_.registry != nullptr ? opt_.registry
                                    : &m::MetricsRegistry::global();
+    registry_ = reg;
     const QueryKind kinds[] = {QueryKind::kPoint, QueryKind::kBatch,
                                QueryKind::kTopK};
     for (const QueryKind k : kinds) {
@@ -115,10 +112,6 @@ void RankService::stop() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  if (!opt_.trace_path.empty()) {
-    // Workers are joined: their span rows are quiescent.
-    trace::ChromeTraceWriter::write(opt_.trace_path, timeline_, "serve");
-  }
 }
 
 void RankService::worker_loop(unsigned w, int cpu) {
@@ -134,13 +127,7 @@ void RankService::worker_loop(unsigned w, int cpu) {
       task = std::move(self.queue.front());
       self.queue.pop_front();
     }
-    const double start = runtime::PhaseTimeline::now();
     run_shard(w, *task.snap, task.shard);
-    if (timeline_.spans_enabled()) {
-      timeline_.record_span(w, runtime::Phase::kGather,
-                            runtime::SpanKind::kKernel, start,
-                            runtime::PhaseTimeline::now() - start);
-    }
     task.latch->arrive();
   }
 }
@@ -297,66 +284,69 @@ std::vector<QueryResult> RankService::execute_batch(
     results[split.request].topk = merge_top_k(split.partials, split.k);
   }
 
-  // ---- Record stats + per-request latency --------------------------
-  const double wall = batch_timer.seconds();
-
-  // Lifetime metrics first, outside the stats mutex: each record is a
-  // few relaxed atomic adds, so caller threads never serialize here.
-  {
-    const std::uint64_t wall_ns = runtime::metrics::seconds_to_ns(wall);
-    std::array<std::uint64_t, 3> by_class{};
-    for (const Query& q : queries) ++by_class[static_cast<unsigned>(q.kind)];
-    for (unsigned c = 0; c < 3; ++c) {
-      if (by_class[c] == 0) continue;
-      metrics_.requests[c].inc(by_class[c]);
-      // Every request in the batch observed the batch's wall time
-      // (mirrors the LatencyRecorder accounting below).
-      for (std::uint64_t i = 0; i < by_class[c]; ++i) {
-        metrics_.latency[c].record(wall_ns);
-      }
-    }
-    metrics_.batches.inc();
-    metrics_.shards_dispatched.inc(dispatched.size());
-    metrics_.vertices_looked_up.inc(vertices_looked_up);
-    metrics_.batch_size.record(queries.size());
-    metrics_.answer_epoch.set(static_cast<std::int64_t>(s.epoch()));
-    metrics_.epoch_lag.set(
-        static_cast<std::int64_t>(store_.epoch() - s.epoch()));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.requests += queries.size();
-    for (const Query& q : queries) {
-      switch (q.kind) {
-        case QueryKind::kPoint:
-          ++stats_.point_requests;
-          break;
-        case QueryKind::kBatch:
-          ++stats_.batch_requests;
-          break;
-        case QueryKind::kTopK:
-          ++stats_.topk_requests;
-          break;
-      }
-    }
-    ++stats_.batches;
-    stats_.shards_dispatched += dispatched.size();
-    stats_.vertices_looked_up += vertices_looked_up;
+  // ---- Record lifetime metrics --------------------------------------
+  // A few relaxed atomic adds into this thread's shard: caller threads
+  // never serialize here, and nothing grows with the request count.
+  const std::uint64_t wall_ns =
+      runtime::metrics::seconds_to_ns(batch_timer.seconds());
+  std::array<std::uint64_t, 3> by_class{};
+  for (const Query& q : queries) ++by_class[static_cast<unsigned>(q.kind)];
+  for (unsigned c = 0; c < 3; ++c) {
+    if (by_class[c] == 0) continue;
+    metrics_.requests[c].inc(by_class[c]);
     // Every request in the batch observed the batch's wall time.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      latency_.record(wall);
+    for (std::uint64_t i = 0; i < by_class[c]; ++i) {
+      metrics_.latency[c].record(wall_ns);
     }
-    // Iteration track: one sample per batch → a request-latency
-    // counter lane in the Chrome trace.
-    timeline_.record_iteration(wall);
   }
+  metrics_.batches.inc();
+  metrics_.shards_dispatched.inc(dispatched.size());
+  metrics_.vertices_looked_up.inc(vertices_looked_up);
+  metrics_.batch_size.record(queries.size());
+  metrics_.answer_epoch.set(static_cast<std::int64_t>(s.epoch()));
+  metrics_.epoch_lag.set(
+      static_cast<std::int64_t>(store_.epoch() - s.epoch()));
   return results;
 }
 
+LatencySummary latency_summary(const runtime::metrics::HistogramSnapshot& h) {
+  LatencySummary out;
+  out.count = h.count;
+  out.mean_seconds = h.mean() * h.scale;
+  out.p50_seconds = h.p50 * h.scale;
+  out.p95_seconds = h.p95 * h.scale;
+  out.p99_seconds = h.p99 * h.scale;
+  out.p999_seconds = h.p999 * h.scale;
+  out.max_seconds = h.max * h.scale;
+  return out;
+}
+
 RankService::Stats RankService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  Stats out = stats_;
-  out.latency = latency_.summarize();
+  Stats out;
+  if (registry_ == nullptr) return out;
+  const runtime::metrics::MetricsSnapshot snap = registry_->snapshot();
+  const auto count = [&](std::string_view name,
+                         std::string_view label = {}) -> std::uint64_t {
+    const runtime::metrics::CounterSnapshot* c =
+        snap.find_counter(name, label);
+    return c == nullptr ? 0 : c->value;
+  };
+  std::array<std::uint64_t, 3> by_class{};
+  for (unsigned c = 0; c < 3; ++c) {
+    const std::string_view kind = query_kind_name(static_cast<QueryKind>(c));
+    by_class[c] = count("hipa_queries_total", kind);
+    if (const runtime::metrics::HistogramSnapshot* h =
+            snap.find_histogram("hipa_query_latency_seconds", kind)) {
+      out.latency[c] = latency_summary(*h);
+    }
+  }
+  out.point_requests = by_class[static_cast<unsigned>(QueryKind::kPoint)];
+  out.batch_requests = by_class[static_cast<unsigned>(QueryKind::kBatch)];
+  out.topk_requests = by_class[static_cast<unsigned>(QueryKind::kTopK)];
+  out.requests = out.point_requests + out.batch_requests + out.topk_requests;
+  out.batches = count("hipa_batches_total");
+  out.shards_dispatched = count("hipa_shards_dispatched_total");
+  out.vertices_looked_up = count("hipa_vertices_looked_up_total");
   return out;
 }
 

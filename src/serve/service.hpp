@@ -1,6 +1,6 @@
 // Batched query engine over the snapshot store: one persistent,
 // NUMA-pinned worker per node, request coalescing into per-node
-// shards, per-request latency into the runtime telemetry surface.
+// shards, per-request latency into the lifetime metrics plane.
 //
 // Execution model (the serving-side mirror of the engines' Algorithm 2
 // thread model):
@@ -27,14 +27,10 @@
 //     queue is cold — the work is the shard body); a per-batch latch
 //     releases the caller when every shard finished.
 //
-// Telemetry: the service owns a runtime::PhaseTimeline with one row
-// per worker. Shard executions are recorded as spans (phase = kGather,
-// the read side of the shared vocabulary) when a trace path is
-// configured, and per-request latencies feed both the LatencyRecorder
-// (percentile stats) and the timeline's iteration track, so a
-// configured trace_path yields a chrome://tracing view of worker
-// activity with a request-latency counter track — the same pipeline
-// the engines use.
+// Accounting: the MetricsRegistry is the only record. Each batch adds
+// a few relaxed atomics into the calling thread's shard (no lock, no
+// per-request storage, so memory stays flat however long the service
+// runs), and stats() is a read-only view over a registry snapshot.
 #pragma once
 
 #include <array>
@@ -50,7 +46,6 @@
 #include <vector>
 
 #include "runtime/metrics.hpp"
-#include "runtime/telemetry.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
 
@@ -62,14 +57,9 @@ class MetricsHttpServer;
 struct ServiceOptions {
   /// Pin each worker to a CPU of its node (best effort).
   bool pin_workers = true;
-  /// When non-empty, collect worker spans and write a Chrome trace
-  /// here at stop()/destruction.
-  std::string trace_path;
-  /// Pre-reserved latency samples (grows beyond as needed).
-  std::size_t latency_reserve = 1 << 16;
   /// Lifetime metrics (per-class latency histograms, batch sizes,
   /// queue depth, epoch lag). false = no-op handles, behavior
-  /// byte-identical.
+  /// byte-identical, and stats() reads all zeros.
   bool metrics = true;
   /// Registry to record into; nullptr = the process-global registry.
   runtime::metrics::MetricsRegistry* registry = nullptr;
@@ -82,6 +72,23 @@ struct ServiceOptions {
   /// opts into "0.0.0.0" (or a specific interface) explicitly.
   std::string metrics_bind_addr = "127.0.0.1";
 };
+
+/// Percentile summary of request latencies, in seconds.
+struct LatencySummary {
+  std::uint64_t count = 0;
+  double mean_seconds = 0.0;
+  double p50_seconds = 0.0;
+  double p95_seconds = 0.0;
+  double p99_seconds = 0.0;
+  double p999_seconds = 0.0;
+  double max_seconds = 0.0;
+};
+
+/// Summary of one histogram snapshot, scaled to export units (seconds
+/// for a histogram registered with scale 1e-9). Quantiles and max
+/// carry the histogram's one-bucket error; count and mean are exact.
+[[nodiscard]] LatencySummary latency_summary(
+    const runtime::metrics::HistogramSnapshot& h);
 
 /// The batched query engine. Thread-safe: any number of caller threads
 /// may execute() / execute_batch() concurrently; the snapshot store's
@@ -102,7 +109,11 @@ class RankService {
   /// has been published yet.
   std::vector<QueryResult> execute_batch(std::span<const Query> queries);
 
-  /// Aggregate counters since construction.
+  /// Lifetime counters, read from the service's registry
+  /// (ServiceOptions::registry, else the global one). The registry
+  /// counts every service that records into it, so a service that
+  /// needs counts of its own passes a private registry. All zeros
+  /// when ServiceOptions::metrics is false.
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t point_requests = 0;
@@ -111,7 +122,9 @@ class RankService {
     std::uint64_t batches = 0;           ///< execute_batch calls
     std::uint64_t shards_dispatched = 0; ///< per-node tasks enqueued
     std::uint64_t vertices_looked_up = 0;
-    LatencySummary latency;              ///< per-request wall seconds
+    /// Per-request wall seconds, indexed by QueryKind. Histogram
+    /// snapshots carry no buckets, so the classes cannot be merged.
+    std::array<LatencySummary, 3> latency{};
   };
   [[nodiscard]] Stats stats() const;
 
@@ -123,8 +136,7 @@ class RankService {
   /// ServiceOptions::metrics_port was left disabled).
   [[nodiscard]] int metrics_http_port() const;
 
-  /// Join the workers and, when a trace path was configured, write the
-  /// Chrome trace. Idempotent; the destructor calls it.
+  /// Join the workers. Idempotent; the destructor calls it.
   void stop();
 
  private:
@@ -198,15 +210,9 @@ class RankService {
     runtime::metrics::Gauge epoch_lag;
   };
   Instruments metrics_;
+  /// What stats() reads; nullptr when metrics are off.
+  runtime::metrics::MetricsRegistry* registry_ = nullptr;
   std::unique_ptr<MetricsHttpServer> metrics_server_;
-
-  // Stats + caller-side telemetry, shared by caller threads.
-  mutable std::mutex stats_mutex_;
-  Stats stats_;                       ///< latency summarized on read
-  LatencyRecorder latency_;           ///< under stats_mutex_
-  runtime::PhaseTimeline timeline_;   ///< rows owned by workers; the
-                                      ///< iteration track under
-                                      ///< stats_mutex_
   std::atomic<std::uint64_t> rr_node_{0};  ///< round-robin for replicas
 };
 

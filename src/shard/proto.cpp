@@ -104,16 +104,6 @@ Frame encode_answer_batch(const AnswerBatch& m) {
   return frame(MsgType::kAnswerBatch, std::move(w));
 }
 
-Frame encode_status() { return Frame{MsgType::kStatus, {}}; }
-
-Frame encode_status_reply(const StatusReply& m) {
-  WireWriter w;
-  w.u64(m.epoch);
-  w.u64(m.queries_served);
-  w.u64(m.republishes);
-  return frame(MsgType::kStatusReply, std::move(w));
-}
-
 Frame encode_republish_notice(const RepublishNotice& m) {
   WireWriter w;
   w.u64(m.epoch);
@@ -192,17 +182,6 @@ std::optional<AnswerBatch> decode_answer_batch(const Frame& f) {
     }
     if (!r.ok()) return std::nullopt;
   }
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::optional<StatusReply> decode_status_reply(const Frame& f) {
-  if (f.type != MsgType::kStatusReply) return std::nullopt;
-  WireReader r(f.payload);
-  StatusReply m;
-  m.epoch = r.u64();
-  m.queries_served = r.u64();
-  m.republishes = r.u64();
   if (!r.done()) return std::nullopt;
   return m;
 }

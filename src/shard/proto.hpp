@@ -44,14 +44,14 @@ inline constexpr std::uint32_t kFrameMagic = 0x48505348u;  // "HPSH"
 /// corrupt length field.
 inline constexpr std::uint64_t kMaxFramePayload = 64ull << 20;
 
-/// Message types. Control-plane first, data-plane after.
+/// Message types. Control-plane first, data-plane after. Numbers 5
+/// and 6 are retired (shard health travels over the metrics HTTP
+/// scrape) and poison the connection like any unknown type.
 enum class MsgType : std::uint32_t {
   kHello = 1,            ///< client -> shard: register + request identity
   kHelloAck = 2,         ///< shard -> client: ownership + epoch
   kQueryBatch = 3,       ///< router -> shard: one envelope of subqueries
   kAnswerBatch = 4,      ///< shard -> router: epoch-tagged answers
-  kStatus = 5,           ///< client -> shard: liveness probe
-  kStatusReply = 6,      ///< shard -> client: epoch + served counters
   kRepublishNotice = 7,  ///< shard -> subscribers: new epoch published
   kError = 8,            ///< shard -> client: request-level failure
   kShutdown = 9,         ///< client -> shard: drain and exit serve loop
@@ -190,12 +190,6 @@ struct AnswerBatch {
   std::vector<Answer> answers;
 };
 
-struct StatusReply {
-  std::uint64_t epoch = 0;
-  std::uint64_t queries_served = 0;
-  std::uint64_t republishes = 0;
-};
-
 /// Unsolicited push to every subscribed connection after a publish.
 struct RepublishNotice {
   std::uint64_t epoch = 0;
@@ -212,8 +206,6 @@ struct ErrorReply {
 [[nodiscard]] Frame encode_hello_ack(const HelloAck& m);
 [[nodiscard]] Frame encode_query_batch(const QueryBatch& m);
 [[nodiscard]] Frame encode_answer_batch(const AnswerBatch& m);
-[[nodiscard]] Frame encode_status();
-[[nodiscard]] Frame encode_status_reply(const StatusReply& m);
 [[nodiscard]] Frame encode_republish_notice(const RepublishNotice& m);
 [[nodiscard]] Frame encode_error(const ErrorReply& m);
 [[nodiscard]] Frame encode_shutdown();
@@ -222,7 +214,6 @@ struct ErrorReply {
 [[nodiscard]] std::optional<HelloAck> decode_hello_ack(const Frame& f);
 [[nodiscard]] std::optional<QueryBatch> decode_query_batch(const Frame& f);
 [[nodiscard]] std::optional<AnswerBatch> decode_answer_batch(const Frame& f);
-[[nodiscard]] std::optional<StatusReply> decode_status_reply(const Frame& f);
 [[nodiscard]] std::optional<RepublishNotice> decode_republish_notice(
     const Frame& f);
 [[nodiscard]] std::optional<ErrorReply> decode_error(const Frame& f);

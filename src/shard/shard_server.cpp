@@ -87,7 +87,6 @@ std::uint64_t ShardServer::publish_and_notify(std::span<const rank_t> slice) {
   {
     std::lock_guard<std::mutex> lock(publish_mutex_);
     epoch = store_->publish(slice);
-    republishes_.fetch_add(1, std::memory_order_relaxed);
     publish_epoch_metric_.set(static_cast<std::int64_t>(epoch));
   }
   const Frame notice = encode_republish_notice(RepublishNotice{epoch});
@@ -246,17 +245,7 @@ void ShardServer::handle_conn(const std::shared_ptr<Conn>& conn) {
           a.topk = std::move(r.topk);
           for (serve::TopKEntry& e : a.topk) e.vertex += opt_.range.begin;
         }
-        queries_served_.fetch_add(qb->queries.size(),
-                                  std::memory_order_relaxed);
         (void)conn->send(encode_answer_batch(ab));
-        break;
-      }
-      case MsgType::kStatus: {
-        StatusReply r;
-        r.epoch = store_->epoch();
-        r.queries_served = queries_served();
-        r.republishes = republishes();
-        (void)conn->send(encode_status_reply(r));
         break;
       }
       case MsgType::kShutdown: {

@@ -104,12 +104,6 @@ class ShardServer {
   [[nodiscard]] int metrics_http_port() const {
     return service_->metrics_http_port();
   }
-  [[nodiscard]] std::uint64_t queries_served() const {
-    return queries_served_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t republishes() const {
-    return republishes_.load(std::memory_order_relaxed);
-  }
 
  private:
   void accept_loop();
@@ -139,8 +133,6 @@ class ShardServer {
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
 
-  std::atomic<std::uint64_t> queries_served_{0};
-  std::atomic<std::uint64_t> republishes_{0};
   runtime::metrics::Gauge publish_epoch_metric_;
 };
 

@@ -52,12 +52,20 @@ void encode_header(std::uint8_t* p, const Frame& f) {
 bool decode_header(const std::uint8_t* p, MsgType* type,
                    std::uint64_t* payload_len, std::uint64_t* checksum) {
   if (get_u32(p) != kFrameMagic) return false;
-  const std::uint32_t t = get_u32(p + 4);
-  if (t < static_cast<std::uint32_t>(MsgType::kHello) ||
-      t > static_cast<std::uint32_t>(MsgType::kShutdown)) {
-    return false;
+  const auto t = static_cast<MsgType>(get_u32(p + 4));
+  switch (t) {
+    case MsgType::kHello:
+    case MsgType::kHelloAck:
+    case MsgType::kQueryBatch:
+    case MsgType::kAnswerBatch:
+    case MsgType::kRepublishNotice:
+    case MsgType::kError:
+    case MsgType::kShutdown:
+      break;
+    default:
+      return false;  // unknown or retired (5, 6) type
   }
-  *type = static_cast<MsgType>(t);
+  *type = t;
   *payload_len = get_u64(p + 8);
   *checksum = get_u64(p + 16);
   return *payload_len <= kMaxFramePayload;

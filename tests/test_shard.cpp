@@ -89,13 +89,6 @@ TEST(ShardProto, ControlMessagesRoundTrip) {
   EXPECT_EQ(a->topk_k, 64u);
   EXPECT_EQ(a->metrics_port, 9464);
 
-  const auto s =
-      decode_status_reply(encode_status_reply(StatusReply{5, 100, 3}));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->epoch, 5u);
-  EXPECT_EQ(s->queries_served, 100u);
-  EXPECT_EQ(s->republishes, 3u);
-
   const auto n = decode_republish_notice(
       encode_republish_notice(RepublishNotice{17}));
   ASSERT_TRUE(n.has_value());
@@ -106,7 +99,6 @@ TEST(ShardProto, ControlMessagesRoundTrip) {
   EXPECT_EQ(e->request_id, 9u);
   EXPECT_EQ(e->message, "bad range");
 
-  EXPECT_EQ(encode_status().type, MsgType::kStatus);
   EXPECT_EQ(encode_shutdown().type, MsgType::kShutdown);
 }
 
@@ -225,7 +217,7 @@ TEST(ShardTransport, LoopbackRoundTripAndClose) {
   });
   client->close();
   t.join();
-  EXPECT_FALSE(client->send(encode_status()));
+  EXPECT_FALSE(client->send(encode_shutdown()));
 }
 
 TEST(ShardTransport, TcpRoundTripEphemeralPort) {
@@ -288,7 +280,7 @@ TEST(ShardTransport, TcpRejectsCorruptFrames) {
   {
     std::vector<std::uint8_t> b;
     put_le(b, 0xDEADBEEFu, 4);
-    put_le(b, 5, 4);
+    put_le(b, 8, 4);  // kError
     put_le(b, 0, 8);
     put_le(b, fnv1a(nullptr, 0), 8);
     poison(b);
@@ -298,17 +290,27 @@ TEST(ShardTransport, TcpRejectsCorruptFrames) {
     const char payload[4] = {'a', 'b', 'c', 'd'};
     std::vector<std::uint8_t> b;
     put_le(b, kFrameMagic, 4);
-    put_le(b, 6, 4);  // kStatusReply
+    put_le(b, 8, 4);  // kError
     put_le(b, sizeof payload, 8);
     put_le(b, fnv1a(payload, sizeof payload) + 1, 8);
     b.insert(b.end(), payload, payload + sizeof payload);
+    poison(b);
+  }
+  // Retired (5, 6) and unknown type numbers, framed correctly
+  // otherwise.
+  for (const std::uint32_t type : {0u, 5u, 6u, 10u}) {
+    std::vector<std::uint8_t> b;
+    put_le(b, kFrameMagic, 4);
+    put_le(b, type, 4);
+    put_le(b, 0, 8);
+    put_le(b, fnv1a(nullptr, 0), 8);
     poison(b);
   }
   // Absurd length field.
   {
     std::vector<std::uint8_t> b;
     put_le(b, kFrameMagic, 4);
-    put_le(b, 5, 4);
+    put_le(b, 8, 4);  // kError
     put_le(b, kMaxFramePayload + 1, 8);
     put_le(b, 0, 8);
     poison(b);
@@ -402,14 +404,19 @@ TEST(ShardServer, TranslatesIdsAndAnswersOwnedSlice) {
   ASSERT_EQ(f.type, MsgType::kRepublishNotice);
   EXPECT_EQ(decode_republish_notice(f)->epoch, 2u);
 
-  // Status probe, then shutdown ends wait().
-  ASSERT_TRUE(conn->send(encode_status()));
-  ASSERT_TRUE(conn->recv(&f));
-  const auto status = decode_status_reply(f);
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status->epoch, 2u);
-  // Rejected envelopes don't count: 4 served, the bad point dropped.
-  EXPECT_EQ(status->queries_served, 4u);
+  // The shard's registry counts what its service executed: the point,
+  // the batch and the global top-k. The top-k range that misses the
+  // owned slice is answered empty without running, and the rejected
+  // envelope's out-of-range point never reaches the service.
+  const runtime::metrics::MetricsSnapshot snap = registry.snapshot();
+  for (const char* kind : {"point", "batch", "topk"}) {
+    const runtime::metrics::CounterSnapshot* served =
+        snap.find_counter("hipa_queries_total", kind);
+    ASSERT_NE(served, nullptr) << kind;
+    EXPECT_EQ(served->value, 1u) << kind;
+  }
+
+  // Shutdown ends wait().
   ASSERT_TRUE(conn->send(encode_shutdown()));
   server.wait();
   server.stop();
