@@ -20,11 +20,7 @@
 // A `barrier` micro-section compares the flat sense-reversing
 // SpinBarrier against the topology-aware two-level TreeBarrier
 // (ns/crossing, empty kernel) at one-node-worth, two-nodes-worth and
-// all-CPUs thread counts, and a `reorder` section runs HiPa natively
-// per vertex-reorder mode (none/degree/hub, filter with --reorder=)
-// with hw counters + telemetry on, recording per-mode iteration time,
-// LLC miss rate, barrier-wait seconds, and the rank agreement vs the
-// unreordered run (inverse-permutation happens inside the facade).
+// all-CPUs thread counts.
 //
 // Two run-level telemetry sections close the report: `telemetry_runs`
 // re-runs HiPa/p-PR/GPOP (or --methods=) natively with telemetry kOn
@@ -49,7 +45,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -276,8 +271,7 @@ algo::RunResult run_native(const bench::ScaledDataset& d, algo::Method m,
                            unsigned iters, runtime::Telemetry tel,
                            runtime::HwProf hw = runtime::HwProf::kOff,
                            bool audit = false,
-                           const std::string& trace_path = {},
-                           engine::Reorder reorder = engine::Reorder::kNone) {
+                           const std::string& trace_path = {}) {
   algo::MethodParams params;
   params.scale_denom = d.scale;
   params.pr.iterations = iters;
@@ -285,48 +279,7 @@ algo::RunResult run_native(const bench::ScaledDataset& d, algo::Method m,
   params.pr.hw_counters = hw;
   params.pr.audit_placement = audit;
   params.pr.trace_path = trace_path;
-  params.pr.reorder = reorder;
   return algo::run_method_native(m, d.graph, params);
-}
-
-// ---- vertex reordering ------------------------------------------------------
-
-/// One native HiPa run under a vertex-reorder mode: iteration time,
-/// the permutation's preprocessing cost, barrier-wait total, and the
-/// LLC miss rate when the PMU is reachable.
-struct ReorderRun {
-  engine::Reorder mode = engine::Reorder::kNone;
-  double native_seconds = 0.0;
-  double preprocessing_seconds = 0.0;
-  double barrier_sum_seconds = 0.0;
-  bool hw_available = false;
-  std::uint64_t llc_loads = 0;
-  std::uint64_t llc_load_misses = 0;
-  double llc_miss_rate = 0.0;  ///< misses / loads, 0 without PMU
-  double ranks_l1_vs_none = 0.0;
-};
-
-ReorderRun summarize_reorder(engine::Reorder mode,
-                             const algo::RunResult& res,
-                             std::span<const rank_t> none_ranks) {
-  ReorderRun r;
-  r.mode = mode;
-  r.native_seconds = res.report.seconds;
-  r.preprocessing_seconds = res.report.preprocessing_seconds;
-  const runtime::RunTelemetry& t = res.report.telemetry;
-  r.barrier_sum_seconds = t.total_barrier_seconds();
-  r.hw_available = t.hw_available;
-  for (unsigned pi = 0; pi < runtime::kNumPhases; ++pi) {
-    const auto& hw = t[static_cast<runtime::Phase>(pi)].hw;
-    r.llc_loads += hw.llc_loads;
-    r.llc_load_misses += hw.llc_load_misses;
-  }
-  r.llc_miss_rate =
-      r.llc_loads > 0 ? static_cast<double>(r.llc_load_misses) /
-                            static_cast<double>(r.llc_loads)
-                      : 0.0;
-  r.ranks_l1_vs_none = algo::l1_distance(res.ranks, none_ranks);
-  return r;
 }
 
 /// The zero-overhead-off guarantee, measured: telemetry kOff vs kOn on
@@ -569,68 +522,6 @@ int main(int argc, char** argv) {
     jw.end_object();
   }
   jw.end_array();
-
-  // ---- vertex reordering: iteration time + LLC behaviour per mode -----
-  if (!datasets.empty()) {
-    const bench::ScaledDataset& d = datasets.front();
-    const std::vector<engine::Reorder> modes = flags.reorders_or(
-        {engine::Reorder::kNone, engine::Reorder::kDegree,
-         engine::Reorder::kHub});
-
-    // The unreordered run is always the comparison anchor, even when
-    // --reorder= filters it out of the emitted mode list.
-    const algo::RunResult none_res =
-        run_native(d, algo::Method::kHipa, iters, runtime::Telemetry::kOn,
-                   runtime::HwProf::kOn);
-
-    std::printf("vertex reordering (HiPa on '%s', %u iters):\n",
-                d.name.c_str(), iters);
-    std::printf("  %-7s %10s %10s %10s %9s %12s\n", "mode", "iter (s)",
-                "prep (s)", "barrier(s)", "LLC-miss", "L1 vs none");
-    jw.key("reorder");
-    jw.begin_object();
-    jw.kv("dataset", d.name);
-    jw.kv("method", algo::method_name(algo::Method::kHipa));
-    jw.kv("iterations", iters);
-    jw.key("modes");
-    jw.begin_array();
-    for (engine::Reorder mode : modes) {
-      algo::RunResult mode_res;
-      if (mode != engine::Reorder::kNone) {
-        mode_res = run_native(d, algo::Method::kHipa, iters,
-                              runtime::Telemetry::kOn, runtime::HwProf::kOn,
-                              /*audit=*/false, /*trace_path=*/{}, mode);
-      }
-      const algo::RunResult& res =
-          mode == engine::Reorder::kNone ? none_res : mode_res;
-      const ReorderRun r = summarize_reorder(mode, res, none_res.ranks);
-      if (mode == engine::Reorder::kNone && r.ranks_l1_vs_none != 0.0) {
-        std::fprintf(stderr,
-                     "ERROR: reorder=none diverged from itself (L1 = %g)\n",
-                     r.ranks_l1_vs_none);
-        rc = 1;
-      }
-      std::printf("  %-7s %10.4f %10.4f %10.6f %8.1f%% %12.3g\n",
-                  algo::reorder_name(mode), r.native_seconds,
-                  r.preprocessing_seconds, r.barrier_sum_seconds,
-                  r.hw_available ? 100.0 * r.llc_miss_rate : 0.0,
-                  r.ranks_l1_vs_none);
-      jw.begin_object();
-      jw.kv("mode", algo::reorder_name(mode));
-      jw.kv("native_seconds", r.native_seconds);
-      jw.kv("preprocessing_seconds", r.preprocessing_seconds);
-      jw.kv("barrier_sum_seconds", r.barrier_sum_seconds);
-      jw.kv("hw_available", r.hw_available);
-      jw.kv("llc_loads", r.llc_loads);
-      jw.kv("llc_load_misses", r.llc_load_misses);
-      jw.kv("llc_miss_rate", r.llc_miss_rate);
-      jw.kv("ranks_l1_vs_none", r.ranks_l1_vs_none);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.end_object();
-    std::printf("\n");
-  }
 
   // ---- run-level telemetry: where the time goes, per phase ------------
   if (!datasets.empty()) {

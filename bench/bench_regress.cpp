@@ -157,16 +157,6 @@ const Value* find_method(const Value* dataset, const std::string& name) {
   return nullptr;
 }
 
-const Value* find_reorder_mode(const Value* reorder, const std::string& name) {
-  const Value* ms = get(reorder, "modes");
-  if (ms == nullptr || ms->type != Value::Type::kArray) return nullptr;
-  for (const ValuePtr& m : ms->array) {
-    const Value* n = get(m.get(), "mode");
-    if (n != nullptr && n->str == name) return m.get();
-  }
-  return nullptr;
-}
-
 const Value* find_mix(const Value* root, const std::string& name) {
   const Value* ms = get(root, "mixes");
   if (ms == nullptr || ms->type != Value::Type::kArray) return nullptr;
@@ -540,40 +530,6 @@ int main(int argc, char** argv) {
                    5.0, false, 1.0);
     compare_metric(cb, bb, "/barrier", "tree_ns_per_crossing_max_threads",
                    5.0, false, 1.0);
-  }
-
-  // Vertex reordering: mode=none must reproduce itself exactly (hard,
-  // baseline-independent — the facade's inverse permutation is an
-  // identity there). Per-mode wall clock and LLC rates are
-  // host-dependent, advisory.
-  {
-    const Value* cro = get(cur, "reorder");
-    if (cro != nullptr) {
-      const Value* none = find_reorder_mode(cro, "none");
-      double l1 = -1.0;
-      if (none != nullptr &&
-          (!get_number(none, "ranks_l1_vs_none", &l1) || l1 != 0.0)) {
-        fail("/reorder/modes[mode=none]/ranks_l1_vs_none", "must be 0");
-      }
-      const Value* bro = get(base, "reorder");
-      const Value* bmodes = get(bro, "modes");
-      if (bmodes != nullptr && bmodes->type == Value::Type::kArray) {
-        for (const ValuePtr& bm : bmodes->array) {
-          const Value* name = get(bm.get(), "mode");
-          if (name == nullptr) continue;
-          const std::string mpath = "/reorder/modes[mode=" + name->str + "]";
-          const Value* cm = find_reorder_mode(cro, name->str);
-          if (cm == nullptr) {
-            fail(mpath, "mode present in baseline but missing in current");
-            continue;
-          }
-          compare_metric(cm, bm.get(), mpath, "native_seconds", 3.0, false,
-                         1e-6);
-          compare_metric(cm, bm.get(), mpath, "llc_miss_rate", 1.0, false,
-                         0.05);
-        }
-      }
-    }
   }
 
   // Kernel section: the abstraction-drift gate is a correctness claim

@@ -289,39 +289,6 @@ void check_hotpath(const Value& root) {
     }
   }
 
-  // Vertex-reorder section: per-mode native run of one method. The
-  // facade inverse-permutes ranks, so every mode reports in original
-  // vertex ids; "none" is the anchor and must match itself exactly,
-  // reordered modes may drift by float summation order only.
-  const Value* ro = require(root, top, "reorder", Value::Type::kObject);
-  if (ro != nullptr) {
-    const std::string rp = at(top, "reorder");
-    require(*ro, rp, "dataset", Value::Type::kString);
-    require(*ro, rp, "method", Value::Type::kString);
-    require_nonneg(*ro, rp, "iterations");
-    const Value* modes = require(*ro, rp, "modes", Value::Type::kArray);
-    if (modes != nullptr) {
-      if (modes->array.empty()) err(at(rp, "modes"), "is empty");
-      for (std::size_t i = 0; i < modes->array.size(); ++i) {
-        const Value& m = *modes->array[i];
-        const std::string mp = at(at(rp, "modes"), i);
-        const Value* mode = require(m, mp, "mode", Value::Type::kString);
-        require_nonneg(m, mp, "native_seconds");
-        require_nonneg(m, mp, "preprocessing_seconds");
-        require_nonneg(m, mp, "barrier_sum_seconds");
-        require(m, mp, "hw_available", Value::Type::kBool);
-        require_nonneg(m, mp, "llc_loads");
-        require_nonneg(m, mp, "llc_load_misses");
-        require_fraction(m, mp, "llc_miss_rate");
-        const double l1 = require_nonneg(m, mp, "ranks_l1_vs_none");
-        if (mode != nullptr && mode->str == "none" && l1 != 0.0) {
-          err(at(mp, "ranks_l1_vs_none"),
-              "must be 0 for mode=none (got " + std::to_string(l1) + ")");
-        }
-      }
-    }
-  }
-
   const Value* tel = require(root, top, "telemetry_runs", Value::Type::kObject);
   if (tel != nullptr) {
     const std::string tp = at(top, "telemetry_runs");

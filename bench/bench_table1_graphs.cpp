@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
 
   std::printf("\npaper Table 1 (full size; intra/inter per 1MB partition):\n");
   for (const auto& info : graph::paper_datasets()) {
-    std::printf("  %-9s %.1fM vertices, %.2gB/M edges (%s)\n",
+    const bool billions = info.paper_edges >= 1e9;
+    std::printf("  %-9s %.1fM vertices, %.1f%c edges (%s)\n",
                 info.name.c_str(), info.paper_vertices / 1e6,
-                info.paper_edges >= 1e9 ? info.paper_edges / 1e9
-                                        : info.paper_edges / 1e6,
-                info.description.c_str());
+                info.paper_edges / (billions ? 1e9 : 1e6),
+                billions ? 'B' : 'M', info.description.c_str());
   }
   std::printf("  journal 30.8K/7.9M  pld 72K/1.6M  wiki 74.9K/0.5M\n"
               "  kron 113K/2.8M  twitter 10.5K/2.3M  mpi 0.2M/1.6M\n");

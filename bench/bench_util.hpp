@@ -24,15 +24,17 @@ namespace hipa::bench {
 
 /// Common CLI flags: --iters=N, --quick (tiny sizes for smoke runs),
 /// --smoke (quick + one dataset + short iterations; CI-friendly),
-/// --dataset=name (restrict to one), --methods=a,b (restrict the
-/// methodology set; names per algo::method_from_name, e.g.
-/// "hipa,ppr,GPOP"), --kernel=a,b (restrict the kernel set; names per
-/// algo::kernel_from_name: pagerank ppr bfs wcc sssp), --reorder=a,b
-/// (restrict the vertex-reorder mode set; names per
-/// algo::reorder_from_name: none degree hub), --out=path (JSON output
-/// path for benches that emit machine-readable results),
+/// --dataset=name (restrict to one paper dataset), --methods=a,b
+/// (restrict the methodology set; names per algo::method_from_name,
+/// e.g. "hipa,ppr,GPOP"), --kernel=a,b (restrict the kernel set; names
+/// per algo::kernel_from_name: pagerank ppr bfs wcc sssp), --out=path
+/// (JSON output path for benches that emit machine-readable results),
 /// --trace-out=path (Chrome/Perfetto trace_events timeline of the
 /// instrumented native run; open with ui.perfetto.dev), --help.
+///
+/// Parsing fails closed: an unrecognized argument or an unknown
+/// dataset name exits 2 with a message naming it, so a typo never
+/// silently starts the full multi-minute bench.
 ///
 /// The flag grammar itself (prefix matching, list splitting, strict
 /// integers) lives in common/cli.hpp, shared with the offline tools;
@@ -44,7 +46,6 @@ struct Flags {
   std::string dataset;
   std::vector<algo::Method> methods;  ///< empty = bench default set
   std::vector<algo::Kernel> kernels;  ///< empty = bench default set
-  std::vector<engine::Reorder> reorders;  ///< empty = bench default set
   std::string out;        ///< JSON output path ("" = bench default)
   std::string trace_out;  ///< Chrome trace path ("" = no trace)
 
@@ -62,13 +63,11 @@ struct Flags {
         f.smoke = true;
         f.quick = true;
       } else if (const char* v = cli::flag_value(a, "--dataset=")) {
-        f.dataset = v;
+        f.dataset = parse_dataset(v);
       } else if (const char* v = cli::flag_value(a, "--methods=")) {
         f.methods = parse_methods(v);
       } else if (const char* v = cli::flag_value(a, "--kernel=")) {
         f.kernels = parse_kernels(v);
-      } else if (const char* v = cli::flag_value(a, "--reorder=")) {
-        f.reorders = parse_reorders(v);
       } else if (const char* v = cli::flag_value(a, "--out=")) {
         f.out = v;
       } else if (const char* v = cli::flag_value(a, "--trace-out=")) {
@@ -76,16 +75,40 @@ struct Flags {
       } else if (cli::flag_is(a, "--help")) {
         std::printf(
             "flags: --iters=N  --quick  --smoke  --dataset=<name>  "
-            "--methods=a,b  --kernel=a,b  --reorder=a,b  --out=<path>  "
+            "--methods=a,b  --kernel=a,b  --out=<path>  "
             "--trace-out=<path>\n"
-            "datasets: journal pld wiki kron twitter mpi\n"
+            "datasets: %s\n"
             "methods:  hipa ppr vpr gpop polymer (or the paper names)\n"
-            "kernels:  pagerank ppr bfs wcc sssp\n"
-            "reorder:  none degree hub\n");
+            "kernels:  pagerank ppr bfs wcc sssp\n",
+            dataset_vocab().c_str());
         std::exit(0);
+      } else {
+        std::fprintf(stderr, "unknown argument '%s' (try --help)\n", a);
+        std::exit(2);
       }
     }
     return f;
+  }
+
+  /// Space-separated paper dataset names, in Table 1 order.
+  static std::string dataset_vocab() {
+    std::string vocab;
+    for (const auto& info : graph::paper_datasets()) {
+      if (!vocab.empty()) vocab += ' ';
+      vocab += info.name;
+    }
+    return vocab;
+  }
+
+  /// A --dataset= value checked against graph::paper_datasets();
+  /// unknown names abort, same policy as parse_methods.
+  static std::string parse_dataset(const char* name) {
+    for (const auto& info : graph::paper_datasets()) {
+      if (info.name == name) return info.name;
+    }
+    std::fprintf(stderr, "unknown dataset '%s' (try %s)\n", name,
+                 dataset_vocab().c_str());
+    std::exit(2);
   }
 
   /// Comma-separated method list -> Methods via algo::method_from_name.
@@ -106,16 +129,6 @@ struct Flags {
         "kernel", "pagerank ppr bfs wcc sssp");
   }
 
-  /// Comma-separated reorder-mode list -> engine::Reorder via
-  /// algo::reorder_from_name; unknown names abort, same policy as
-  /// parse_methods.
-  static std::vector<engine::Reorder> parse_reorders(const char* list) {
-    return cli::parse_name_list<engine::Reorder>(
-        list,
-        [](const std::string& s) { return algo::reorder_from_name(s); },
-        "reorder mode", "none degree hub");
-  }
-
   /// The bench's method set: the --methods= filter if given (order
   /// preserved), otherwise `defaults`.
   [[nodiscard]] std::vector<algo::Method> methods_or(
@@ -130,14 +143,6 @@ struct Flags {
       std::initializer_list<algo::Kernel> defaults) const {
     if (!kernels.empty()) return kernels;
     return std::vector<algo::Kernel>(defaults);
-  }
-
-  /// The bench's reorder-mode set: the --reorder= filter if given,
-  /// otherwise `defaults`.
-  [[nodiscard]] std::vector<engine::Reorder> reorders_or(
-      std::initializer_list<engine::Reorder> defaults) const {
-    if (!reorders.empty()) return reorders;
-    return std::vector<engine::Reorder>(defaults);
   }
 };
 

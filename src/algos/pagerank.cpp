@@ -154,39 +154,6 @@ std::optional<Kernel> kernel_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-const char* reorder_name(engine::Reorder r) {
-  switch (r) {
-    case engine::Reorder::kNone:
-      return "none";
-    case engine::Reorder::kDegree:
-      return "degree";
-    case engine::Reorder::kHub:
-      return "hub";
-  }
-  return "?";
-}
-
-std::optional<engine::Reorder> reorder_from_name(std::string_view name) {
-  if (name == "none") return engine::Reorder::kNone;
-  if (name == "degree") return engine::Reorder::kDegree;
-  if (name == "hub") return engine::Reorder::kHub;
-  return std::nullopt;
-}
-
-graph::Permutation make_reorder_permutation(engine::Reorder r,
-                                            const graph::Graph& g) {
-  switch (r) {
-    case engine::Reorder::kNone:
-      return graph::identity_permutation(g.num_vertices());
-    case engine::Reorder::kDegree:
-      return graph::degree_sort_permutation(g.out);
-    case engine::Reorder::kHub:
-      return graph::hub_cluster_permutation(g.out);
-  }
-  HIPA_CHECK(false, "unknown reorder mode");
-  __builtin_unreachable();
-}
-
 unsigned default_threads(Method m, const sim::Topology& topo) {
   switch (m) {
     case Method::kHipa:

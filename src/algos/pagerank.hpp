@@ -7,14 +7,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "engines/backend.hpp"
 #include "engines/run.hpp"
 #include "graph/csr.hpp"
-#include "graph/reorder.hpp"
 #include "runtime/affinity.hpp"
 #include "sim/machine.hpp"
 
@@ -68,18 +65,6 @@ enum class Kernel { kPageRank, kPersonalized, kBfs, kWcc, kSssp };
 /// "wcc", "sssp" (exact round-trip through kernel_from_name).
 [[nodiscard]] const char* kernel_name(Kernel k);
 [[nodiscard]] std::optional<Kernel> kernel_from_name(std::string_view name);
-
-/// Reorder-mode names for bench flags and reports: "none", "degree",
-/// "hub" (exact round-trip through reorder_from_name).
-[[nodiscard]] const char* reorder_name(engine::Reorder r);
-[[nodiscard]] std::optional<engine::Reorder> reorder_from_name(
-    std::string_view name);
-
-/// The permutation the runners apply for a reorder mode (identity for
-/// kNone). Exposed so tests and benches can reproduce the facade's
-/// exact permute → run → inverse-permute pipeline.
-[[nodiscard]] graph::Permutation make_reorder_permutation(
-    engine::Reorder r, const graph::Graph& g);
 
 /// Parameters common to every runner. Zeros mean "paper default for
 /// this methodology on this machine".
@@ -140,103 +125,43 @@ struct MethodParams {
 [[nodiscard]] engine::RunReport run_any_kernel_native(
     Method m, const graph::Graph& g, const MethodParams& params = {});
 
-namespace detail {
-
-/// The runners' reorder pipeline, kernel-generic: permute the graph's
-/// vertex ids (remapping id-valued kernel options — BFS/SSSP sources,
-/// PPR seeds), run the engine on the permuted CSR with the knob
-/// cleared, inverse-permute the values back to original positions, and
-/// let the kernel remap id-valued *results* (WCC labels). Every engine
-/// is deterministic for a fixed (graph, options), so any manual
-/// permute/run/inverse-permute with the same permutation reproduces
-/// this bitwise. `charge_wall_prep` adds the permutation's wall-clock
-/// cost to preprocessing_seconds (native runs only — simulated reports
-/// count modeled cycles, not host time).
-template <class K, class RunFn>
-engine::KernelResult<K> run_kernel_with_reorder(const graph::Graph& g,
-                                                typename K::Options ko,
-                                                const MethodParams& params,
-                                                bool charge_wall_prep,
-                                                RunFn&& run) {
-  if (params.pr.reorder == engine::Reorder::kNone) {
-    return run(g, ko, params);
-  }
-  Timer prep_timer;
-  const graph::Permutation perm =
-      make_reorder_permutation(params.pr.reorder, g);
-  const graph::Graph permuted = graph::apply_permutation(g, perm);
-  const double prep_seconds = prep_timer.seconds();
-  MethodParams inner = params;
-  inner.pr.reorder = engine::Reorder::kNone;
-  K::remap_options(ko, perm);
-  engine::KernelResult<K> result = run(permuted, ko, inner);
-  std::vector<typename K::Value> unpermuted(result.values.size());
-  for (vid_t v = 0; v < static_cast<vid_t>(unpermuted.size()); ++v) {
-    unpermuted[v] = result.values[perm[v]];
-  }
-  std::vector<vid_t> old_of_new(perm.size());
-  for (vid_t v = 0; v < static_cast<vid_t>(perm.size()); ++v) {
-    old_of_new[perm[v]] = v;
-  }
-  K::remap_values(unpermuted, old_of_new);
-  result.values = std::move(unpermuted);
-  if (charge_wall_prep) {
-    result.report.preprocessing_seconds += prep_seconds;
-  }
-  return result;
-}
-
-}  // namespace detail
-
 /// Run kernel K through methodology `m` on the simulated machine.
 template <class K>
 [[nodiscard]] engine::KernelResult<K> run_kernel_sim(
     Method m, const graph::Graph& g, sim::SimMachine& machine,
-    typename K::Options ko = {}, const MethodParams& params = {}) {
-  return detail::run_kernel_with_reorder<K>(
-      g, std::move(ko), params, /*charge_wall_prep=*/false,
-      [&](const graph::Graph& rg, const typename K::Options& rko,
-          const MethodParams& p) {
-        engine::SimBackend backend(machine);
-        engine::EngineParams ep;
-        ep.engine = m;
-        ep.threads = p.threads != 0
-                         ? p.threads
-                         : default_threads(m, machine.topology());
-        ep.partition_bytes =
-            p.partition_bytes != 0
-                ? p.partition_bytes
-                : default_partition_bytes(m, p.scale_denom);
-        ep.num_nodes = machine.topology().num_nodes;
-        return engine::run<K>(rg, backend, rko, p.pr, ep);
-      });
+    const typename K::Options& ko = {}, const MethodParams& params = {}) {
+  engine::SimBackend backend(machine);
+  engine::EngineParams ep;
+  ep.engine = m;
+  ep.threads = params.threads != 0 ? params.threads
+                                   : default_threads(m, machine.topology());
+  ep.partition_bytes = params.partition_bytes != 0
+                           ? params.partition_bytes
+                           : default_partition_bytes(m, params.scale_denom);
+  ep.num_nodes = machine.topology().num_nodes;
+  return engine::run<K>(g, backend, ko, params.pr, ep);
 }
 
 /// Run kernel K through methodology `m` natively.
 template <class K>
 [[nodiscard]] engine::KernelResult<K> run_kernel_native(
-    Method m, const graph::Graph& g, typename K::Options ko = {},
+    Method m, const graph::Graph& g, const typename K::Options& ko = {},
     const MethodParams& params = {}) {
-  return detail::run_kernel_with_reorder<K>(
-      g, std::move(ko), params, /*charge_wall_prep=*/true,
-      [&](const graph::Graph& rg, const typename K::Options& rko,
-          const MethodParams& p) {
-        engine::NativeBackend backend;
-        engine::EngineParams ep;
-        ep.engine = m;
-        ep.threads =
-            p.threads != 0 ? p.threads : runtime::available_cpus();
-        ep.partition_bytes = p.partition_bytes;
-        if (ep.partition_bytes == 0) {
-          ep.partition_bytes = default_partition_bytes(m, p.scale_denom);
-          if (ep.partition_bytes == 0) {
-            ep.partition_bytes = 256 * 1024;  // vertex-centric: unused
-          }
-        }
-        // Native runs on this host: treat it as one NUMA node.
-        ep.num_nodes = 1;
-        return engine::run<K>(rg, backend, rko, p.pr, ep);
-      });
+  engine::NativeBackend backend;
+  engine::EngineParams ep;
+  ep.engine = m;
+  ep.threads =
+      params.threads != 0 ? params.threads : runtime::available_cpus();
+  ep.partition_bytes = params.partition_bytes;
+  if (ep.partition_bytes == 0) {
+    ep.partition_bytes = default_partition_bytes(m, params.scale_denom);
+    if (ep.partition_bytes == 0) {
+      ep.partition_bytes = 256 * 1024;  // vertex-centric: unused
+    }
+  }
+  // Native runs on this host: treat it as one NUMA node.
+  ep.num_nodes = 1;
+  return engine::run<K>(g, backend, ko, params.pr, ep);
 }
 
 }  // namespace hipa::algo

@@ -7,10 +7,9 @@
 // corrupt a reproduction run, so every failure here is loud and fatal
 // (exit code 2, the conventional usage-error status).
 //
-// This header knows nothing about methods, kernels or reorder modes;
-// callers pass their own `from_name` lookup (e.g.
-// algo::method_from_name) so the vocabulary lives next to the enum it
-// names.
+// This header knows nothing about methods or kernels; callers pass
+// their own `from_name` lookup (e.g. algo::method_from_name) so the
+// vocabulary lives next to the enum it names.
 #pragma once
 
 #include <cstdio>

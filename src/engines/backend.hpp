@@ -33,15 +33,6 @@
 
 namespace hipa::engine {
 
-/// Vertex-id reordering applied by the `algo::` facade before the
-/// graph is partitioned (graph/reorder passes); ranks are
-/// inverse-permuted on output so callers always see original ids.
-enum class Reorder {
-  kNone,    ///< run on the graph as given
-  kDegree,  ///< descending out-degree sort
-  kHub,     ///< hub clustering: hot high-degree prefix, others stable
-};
-
 /// Where a buffer's pages live (mirrors sim::Placement; the native
 /// backend treats it as advisory).
 enum class DataPlacement {
@@ -478,7 +469,7 @@ class SimBackend {
 /// `run()` / `run_pagerank()` accepts (PCPM family, v-PR, Polymer).
 /// Kernel-independent run controls shared by every engine and every
 /// kernel (PageRank, PPR, BFS, WCC, SSSP): iteration budget,
-/// convergence tracking, instrumentation, placement and reordering.
+/// convergence tracking, instrumentation and placement.
 /// Kernel-specific knobs (damping, seeds, source vertex) live in the
 /// per-kernel option structs (engines/kernels.hpp).
 struct RunOptions {
@@ -510,11 +501,6 @@ struct RunOptions {
   /// placement_audit). Reports available=false on single-node hosts or
   /// when both move_pages and numa_maps are inaccessible.
   bool audit_placement = false;
-  /// Vertex-id reordering (graph/reorder) applied by the `algo::`
-  /// facade: the CSR is permuted before partitioning and ranks are
-  /// inverse-permuted on output. Engines themselves ignore the field
-  /// (the facade clears it before the inner run).
-  Reorder reorder = Reorder::kNone;
   /// run_loop barrier shape (native single-dispatch path only): kAuto
   /// uses the topology-aware tree barrier when the team is node-blocked
   /// across >= 2 nodes, flat SpinBarrier otherwise.

@@ -46,7 +46,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -268,10 +267,6 @@ struct PageRankKernel {
     out.assign(s.rank.begin(), s.rank.end());
   }
 
-  /// Reorder support (no vertex-id-valued options or values).
-  static void remap_options(Options&, std::span<const vid_t>) {}
-  static void remap_values(std::vector<Value>&, std::span<const vid_t>) {}
-
   /// Pull-mode algebra for the vertex-centric engines (v-PR, Polymer):
   /// contrib is the value a vertex advertises over its out-edges, the
   /// fold is merge() starting from identity(), and apply() turns the
@@ -481,13 +476,6 @@ struct PprKernel {
     out.assign(s.rank.begin(), s.rank.end());
   }
 
-  /// Reorder support: seeds move with the permutation (perm[old] = new);
-  /// rank values are positional only.
-  static void remap_options(Options& o, std::span<const vid_t> perm) {
-    for (vid_t& s : o.seeds) s = perm[s];
-  }
-  static void remap_values(std::vector<Value>&, std::span<const vid_t>) {}
-
   /// Pull-mode algebra: PageRank's sum/apply with the restart vector
   /// folded into the per-vertex bias ((1-d) * restart[v]).
   struct Pull {
@@ -627,13 +615,6 @@ struct BfsKernel {
     out.assign(s.dist.begin(), s.dist.end());
   }
 
-  /// Reorder support: the source moves with the permutation; distances
-  /// are positional only.
-  static void remap_options(Options& o, std::span<const vid_t> perm) {
-    o.source = perm[o.source];
-  }
-  static void remap_values(std::vector<Value>&, std::span<const vid_t>) {}
-
   /// Pull-mode algebra: v pulls min(dist[u] + 1) over in-neighbors u.
   struct Pull {
     using Acc = Message;
@@ -747,17 +728,6 @@ struct WccKernel {
 
   static void extract(const State& s, std::vector<Value>& out) {
     out.assign(s.label.begin(), s.label.end());
-  }
-
-  /// Reorder support: labels are vertex *ids*, so after the positional
-  /// unpermute they must be mapped back through old_of_new[new] = old.
-  /// The result is a consistent representative per component (the
-  /// original id whose permuted id is smallest), not necessarily the
-  /// minimal original id.
-  static void remap_options(Options&, std::span<const vid_t>) {}
-  static void remap_values(std::vector<Value>& labels,
-                           std::span<const vid_t> old_of_new) {
-    for (Value& l : labels) l = old_of_new[l];
   }
 
   /// Pull-mode algebra: v pulls the min label of its in-neighbors
@@ -895,15 +865,6 @@ struct SsspKernel {
   static void extract(const State& s, std::vector<Value>& out) {
     out.assign(s.dist.begin(), s.dist.end());
   }
-
-  /// Reorder support: the source moves with the permutation. NOTE:
-  /// w(u) is a function of the vertex *id*, so a reordered run solves
-  /// the shortest-path problem under the permuted weight assignment
-  /// (see DESIGN.md 3.11).
-  static void remap_options(Options& o, std::span<const vid_t> perm) {
-    o.source = perm[o.source];
-  }
-  static void remap_values(std::vector<Value>&, std::span<const vid_t>) {}
 
   /// Pull-mode algebra: v pulls min(dist[u] + w(u)) over in-neighbors.
   struct Pull {

@@ -61,8 +61,8 @@ struct PcpmOptions {
   /// with in-region barriers) instead of two condvar dispatches per
   /// iteration. Only takes effect on backends that support it AND with
   /// persistent pinned-partition teams (the HiPa configuration);
-  /// p-PR/GPOP keep the per-phase Algorithm 1 path. Off exists for A/B
-  /// measurement (bench_hotpath) and the bitwise-equivalence tests.
+  /// p-PR/GPOP keep the per-phase Algorithm 1 path. Off exists only
+  /// for the tests that check both paths give bitwise-equal results.
   bool single_dispatch = true;
   /// Edge-balanced (paper Eq. 2) vs even-vertex partitioning (§3.1's
   /// rejected strawman, kept for the balance ablation).

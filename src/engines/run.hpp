@@ -12,9 +12,8 @@
 // EngineParams. Callers that reuse one engine across runs (or across
 // kernels — per-kernel state is cached inside the engine) should
 // construct the engine directly; this facade rebuilds the plan and
-// bins on every call. Paper-default parameter fill and the reorder
-// permute/run/unpermute pipeline live one level up, in
-// algo::run_kernel_{sim,native}.
+// bins on every call. Paper-default parameter fill lives one level
+// up, in algo::run_kernel_{sim,native}.
 #pragma once
 
 #include "engines/backend.hpp"

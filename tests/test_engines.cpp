@@ -234,24 +234,61 @@ TEST(DstEncoding, AutoFallsBackToWideWhenPartitionTooLarge) {
 TEST(DstEncoding, NativeBackendBitwiseMatchToo) {
   const graph::Graph g = test_graph(405, 1500, 12000);
   engine::PageRankOptions pr{8, 0.85f};
-  std::vector<rank_t> c, w;
-  {
+  auto run = [&](pcp::DstEncoding enc, bool expect_compact) {
     engine::NativeBackend backend;
     auto opt = engine::PcpmOptions::hipa(4, 1, 1024);
-    opt.dst_encoding = pcp::DstEncoding::kCompact;
+    opt.dst_encoding = enc;
     engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
-    EXPECT_TRUE(eng.bins().compact());
-    c = eng.run(pr).ranks;
-  }
-  {
-    engine::NativeBackend backend;
-    auto opt = engine::PcpmOptions::hipa(4, 1, 1024);
-    opt.dst_encoding = pcp::DstEncoding::kWide;
-    engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
-    EXPECT_FALSE(eng.bins().compact());
-    w = eng.run(pr).ranks;
-  }
+    EXPECT_EQ(eng.bins().compact(), expect_compact);
+    return eng.run(pr).ranks;
+  };
+  const auto c = run(pcp::DstEncoding::kCompact, true);
+  const auto w = run(pcp::DstEncoding::kWide, false);
+  // kAuto is what every facade run uses.
+  const auto a = run(pcp::DstEncoding::kAuto, true);
   expect_bitwise_equal(c, w, "native compact-vs-wide");
+  expect_bitwise_equal(a, w, "native auto-vs-wide");
+}
+
+// A relabelled graph (vertex ids reversed, so hubs move to the other end
+// of the id space) keeps the encoding guarantee, and its ranks map back
+// to the original ids.
+TEST(ReorderEncoding, WideFallbackRoundTrips) {
+  constexpr vid_t n = 2048;
+  const auto edges =
+      graph::generate_zipf({.num_vertices = n, .num_edges = 16384, .seed = 5});
+  std::vector<vid_t> perm(n);
+  for (vid_t v = 0; v < n; ++v) perm[v] = n - 1 - v;
+  std::vector<Edge> relabelled;
+  relabelled.reserve(edges.size());
+  for (const Edge& e : edges) relabelled.push_back({perm[e.src], perm[e.dst]});
+  const graph::Graph g = graph::build_graph(n, edges);
+  const graph::Graph permuted = graph::build_graph(n, relabelled);
+
+  engine::PageRankOptions pr;
+  pr.iterations = 3;
+  auto run = [&](const graph::Graph& graph, pcp::DstEncoding enc) {
+    engine::NativeBackend backend;
+    engine::PcpmOptions opt = engine::PcpmOptions::hipa(2, 1, 64 * 1024);
+    opt.dst_encoding = enc;
+    engine::PcpmEngine<engine::NativeBackend> eng(graph, opt, backend);
+    return eng.run(pr);
+  };
+
+  const auto base_wide = run(g, pcp::DstEncoding::kWide);
+  const auto perm_wide = run(permuted, pcp::DstEncoding::kWide);
+  const auto perm_auto = run(permuted, pcp::DstEncoding::kAuto);
+
+  // Encoding guarantee on the relabelled graph: identical arithmetic.
+  EXPECT_EQ(algo::l1_distance(perm_wide.ranks, perm_auto.ranks), 0.0);
+
+  // Round trip: map the wide run's ranks back to original vertex ids
+  // and compare with the unrelabelled wide run.
+  std::vector<rank_t> unperm(perm_wide.ranks.size());
+  for (vid_t v = 0; v < static_cast<vid_t>(unperm.size()); ++v) {
+    unperm[v] = perm_wide.ranks[perm[v]];
+  }
+  EXPECT_LT(algo::l1_distance(base_wide.ranks, unperm), 1e-3);
 }
 
 // ---- the paper's NUMA claims ------------------------------------------------

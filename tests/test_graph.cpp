@@ -1,5 +1,5 @@
 // Unit tests for src/graph: CSR invariants, builder options, transpose,
-// I/O round-trips, statistics, reordering.
+// I/O round-trips, statistics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/io.hpp"
-#include "graph/reorder.hpp"
 #include "graph/stats.hpp"
 
 namespace hipa::graph {
@@ -355,51 +354,6 @@ TEST(Stats, CompressionCollapsesSharedTargets) {
   const PartitionEdgeStats s = partition_edge_stats(g, 2);
   EXPECT_EQ(s.inter_edges_total, 2u);
   EXPECT_EQ(s.compressed_inter_total, 1u);
-}
-
-TEST(Reorder, IdentityPermutation) {
-  const auto p = identity_permutation(5);
-  EXPECT_TRUE(is_valid_permutation(p));
-  for (vid_t v = 0; v < 5; ++v) EXPECT_EQ(p[v], v);
-}
-
-TEST(Reorder, DegreeSortPutsHubsFirst) {
-  const CsrGraph g = build_csr(4, diamond());
-  const auto p = degree_sort_permutation(g);
-  ASSERT_TRUE(is_valid_permutation(p));
-  // Vertex 0 has the highest out-degree (2) => new id 0.
-  EXPECT_EQ(p[0], 0u);
-}
-
-TEST(Reorder, HubClusterSeparatesHotCold) {
-  const CsrGraph g = build_csr(4, diamond());
-  const auto p = hub_cluster_permutation(g);
-  ASSERT_TRUE(is_valid_permutation(p));
-  // avg degree = 1.25; only vertex 0 (deg 2) is hot.
-  EXPECT_EQ(p[0], 0u);
-}
-
-TEST(Reorder, ApplyPermutationPreservesStructure) {
-  const Graph g = build_graph(4, diamond());
-  const auto p = degree_sort_permutation(g.out);
-  const Graph h = apply_permutation(g, p);
-  EXPECT_EQ(h.num_edges(), g.num_edges());
-  // Degree multiset must be preserved.
-  std::vector<vid_t> dg;
-  std::vector<vid_t> dh;
-  for (vid_t v = 0; v < 4; ++v) {
-    dg.push_back(g.out.degree(v));
-    dh.push_back(h.out.degree(v));
-  }
-  std::sort(dg.begin(), dg.end());
-  std::sort(dh.begin(), dh.end());
-  EXPECT_EQ(dg, dh);
-}
-
-TEST(Reorder, RejectsInvalidPermutation) {
-  EXPECT_FALSE(is_valid_permutation({0, 0, 1}));
-  EXPECT_FALSE(is_valid_permutation({0, 5, 1}));
-  EXPECT_TRUE(is_valid_permutation({2, 0, 1}));
 }
 
 }  // namespace

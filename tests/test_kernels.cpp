@@ -276,28 +276,23 @@ TEST(FacadeIdentity, PolymerRunEqualsRunKernel) {
 }
 
 // run_method_* (the historical facade) must equal the typed kernel
-// runner for every methodology — including through a vertex reorder.
+// runner for every methodology.
 TEST(FacadeIdentity, RunMethodEqualsRunKernelAllMethods) {
   const graph::Graph g = family_graph(Family::kRmat, 912);
   MethodParams params;
   params.pr.iterations = 6;
   for (const Method m : all_methods()) {
-    for (const engine::Reorder r :
-         {engine::Reorder::kNone, engine::Reorder::kDegree}) {
-      params.pr.reorder = r;
-      sim::SimMachine m1 = make_machine();
-      const RunResult via_method = run_method_sim(m, g, m1, params);
-      engine::PrOptions ko;
-      ko.damping = params.pr.damping;
-      sim::SimMachine m2 = make_machine();
-      const auto via_kernel =
-          run_kernel_sim<engine::PageRankKernel>(m, g, m2, ko, params);
-      ASSERT_EQ(via_method.ranks.size(), via_kernel.values.size());
-      EXPECT_EQ(0, std::memcmp(via_method.ranks.data(),
-                               via_kernel.values.data(),
-                               via_method.ranks.size() * sizeof(rank_t)))
-          << method_name(m) << " reorder=" << reorder_name(r);
-    }
+    sim::SimMachine m1 = make_machine();
+    const RunResult via_method = run_method_sim(m, g, m1, params);
+    engine::PrOptions ko;
+    ko.damping = params.pr.damping;
+    sim::SimMachine m2 = make_machine();
+    const auto via_kernel =
+        run_kernel_sim<engine::PageRankKernel>(m, g, m2, ko, params);
+    ASSERT_EQ(via_method.ranks.size(), via_kernel.values.size());
+    EXPECT_EQ(0, std::memcmp(via_method.ranks.data(), via_kernel.values.data(),
+                             via_method.ranks.size() * sizeof(rank_t)))
+        << method_name(m);
   }
 }
 
