@@ -27,8 +27,8 @@
 //     reference ranks — wrong_answers must be ZERO. Hard gate.
 //
 // Emits BENCH_dist.json (override with --out=); validated by
-// bench_schema_check and diffed against the "dist" bands of
-// BENCH_baseline.json by bench_regress. `--smoke` shrinks everything
+// bench_gate, alone and against the "dist" bands of
+// BENCH_baseline.json. `--smoke` shrinks everything
 // for the perf-smoke ctest chain.
 #include <signal.h>
 #include <sys/wait.h>

@@ -22,8 +22,8 @@
 // options — bitwise identity, not tolerance.
 //
 // Emits BENCH_serve.json (override with --out=); validated by
-// bench_schema_check and diffed against the "serve" bands of
-// BENCH_baseline.json by bench_regress. `--smoke` shrinks the windows
+// bench_gate, alone and against the "serve" bands of
+// BENCH_baseline.json. `--smoke` shrinks the windows
 // for the perf-smoke ctest chain.
 #include <algorithm>
 #include <atomic>
@@ -284,7 +284,7 @@ bool emit_quantile_accuracy(bench::JsonWriter& jw) {
 /// gate is the deterministic per-event accounting — ns per metric
 /// event (tight microbench) x events per request / measured request
 /// latency — plus a loose catastrophic cap on the measured A/B ratio;
-/// the measured ratio itself is banded as advisory in bench_regress.
+/// the measured ratio itself is banded as advisory in bench_gate's table.
 bool emit_overhead(bench::JsonWriter& jw, serve::SnapshotStore& store,
                    vid_t n, unsigned clients, double window) {
   // A/B: alternating fresh services over the same store; private

@@ -16,7 +16,7 @@
 // hw.available=false — the sweep itself still runs.
 //
 // Emits machine-readable JSON (default BENCH_table3.json, --out=)
-// validated by bench_schema_check.
+// validated by bench_gate.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -1,16 +1,18 @@
-// Minimal dependency-free JSON reader shared by the bench schema
-// checker, the perf-regression gate, and the trace-output tests.
-// Extracted from bench_schema_check so every consumer parses the
-// machine-readable artifacts with the same grammar.
+// Minimal dependency-free JSON reader shared by the bench gate, the
+// router's health poller, hipa-top and the trace-output tests, so every
+// consumer parses the machine-readable artifacts with the same grammar.
 //
 // Deliberately small: parses the JSON our own writers emit (objects,
 // arrays, strings with the common escapes, numbers, bools, null).
+// Numbers follow the RFC 8259 grammar exactly and must be finite;
+// nesting deeper than Parser::kMaxDepth is rejected.
 // Parse errors do NOT abort the process — parse() returns nullptr and
 // records a human-readable error with the byte offset, so tests can
 // assert on malformed input instead of dying.
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -57,6 +59,11 @@ struct Value {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted; deeper input is a parse
+  /// error rather than unbounded recursion. Bench, trace and metrics
+  /// documents nest fewer than ten levels.
+  static constexpr std::size_t kMaxDepth = 256;
+
   explicit Parser(std::string text) : text_(std::move(text)) {}
 
   /// Parses the whole document. Returns nullptr on error; see error().
@@ -118,51 +125,16 @@ class Parser {
     auto v = std::make_shared<Value>();
     const char c = peek();
     if (failed_) return nullptr;
-    if (c == '{') {
-      v->type = Value::Type::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting too deep");
+        return nullptr;
       }
-      while (!failed_) {
-        skip_ws();
-        const std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        v->object.emplace_back(key, parse_value());
-        skip_ws();
-        if (failed_) break;
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-      return nullptr;
-    }
-    if (c == '[') {
-      v->type = Value::Type::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      while (!failed_) {
-        v->array.push_back(parse_value());
-        skip_ws();
-        if (failed_) break;
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-      return nullptr;
+      ++depth_;
+      ValuePtr nested = c == '{' ? parse_object(std::move(v))
+                                 : parse_array(std::move(v));
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       v->type = Value::Type::kString;
@@ -179,21 +151,101 @@ class Parser {
       return v;
     }
     if (consume_literal("null")) return v;
-    // Number.
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    return parse_number(std::move(v));
+  }
+
+  ValuePtr parse_object(ValuePtr v) {  // NOLINT(misc-no-recursion)
+    v->type = Value::Type::kObject;
+    ++pos_;
+    skip_ws();
+    if (peek() == '}') {
       ++pos_;
+      return v;
     }
-    if (pos_ == start) {
-      fail("expected a value");
+    while (!failed_) {
+      skip_ws();
+      const std::string key = parse_string();
+      skip_ws();
+      expect(':');
+      v->object.emplace_back(key, parse_value());
+      skip_ws();
+      if (failed_) break;
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return v;
+    }
+    return nullptr;
+  }
+
+  ValuePtr parse_array(ValuePtr v) {  // NOLINT(misc-no-recursion)
+    v->type = Value::Type::kArray;
+    ++pos_;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
+    while (!failed_) {
+      v->array.push_back(parse_value());
+      skip_ws();
+      if (failed_) break;
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return v;
+    }
+    return nullptr;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// converted by strtod, which must consume exactly that lexeme and
+  /// yield a finite value.
+  ValuePtr parse_number(ValuePtr v) {
+    const std::size_t start = pos_;
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    const auto at = [this](char c) {
+      return pos_ < text_.size() && text_[pos_] == c;
+    };
+    if (at('-')) ++pos_;
+    const bool leading_zero = at('0');
+    const std::size_t int_digits = digits();
+    bool ok = int_digits > 0 && !(leading_zero && int_digits > 1);
+    if (ok && at('.')) {
+      ++pos_;
+      ok = digits() > 0;
+    }
+    if (ok && (at('e') || at('E'))) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      ok = digits() > 0;
+    }
+    if (!ok) {
+      fail(pos_ == start ? "expected a value" : "malformed number");
       return nullptr;
     }
+    char* end = nullptr;
     v->type = Value::Type::kNumber;
-    v->number = std::strtod(text_.c_str() + start, nullptr);
+    v->number = std::strtod(text_.c_str() + start, &end);
+    if (end != text_.c_str() + pos_) {
+      fail("malformed number");
+      return nullptr;
+    }
+    if (!std::isfinite(v->number)) {
+      fail("number out of range");
+      return nullptr;
+    }
     return v;
   }
 
@@ -245,6 +297,7 @@ class Parser {
 
   std::string text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   bool failed_ = false;
   std::string error_;
 };

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -22,9 +23,15 @@
 
 namespace hipa::shard {
 
+/// Largest response http_get accepts, headers included: far above a
+/// real /metrics.json body (about 30 KiB with 64 histograms), so a
+/// misbehaving peer cannot grow a long-running router without bound.
+inline constexpr std::size_t kMaxHttpResponseBytes = std::size_t{4} << 20;
+
 /// Blocking HTTP/1.0 GET; returns the response body (headers
-/// stripped), or nullopt on connect/transfer failure. `timeout`
-/// bounds both the connect and each read.
+/// stripped), or nullopt on connect/transfer failure or a response
+/// longer than kMaxHttpResponseBytes. `timeout` bounds both the
+/// connect and each read.
 inline std::optional<std::string> http_get(const std::string& host, int port,
                                            const std::string& path,
                                            double timeout_seconds = 1.0) {
@@ -59,6 +66,11 @@ inline std::optional<std::string> http_get(const std::string& host, int port,
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
+    if (response.size() + static_cast<std::size_t>(n) >
+        kMaxHttpResponseBytes) {
+      ::close(fd);
+      return std::nullopt;
+    }
     response.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);

@@ -1,14 +1,16 @@
 // Unit tests for src/common: numeric helpers, RNGs, aligned buffers,
-// error checking, logging.
+// error checking, logging, the minimal JSON reader.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/minijson.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
 #include "common/timer.hpp"
@@ -193,6 +195,71 @@ TEST(Types, VertexRange) {
   EXPECT_FALSE(r.contains(9));
   EXPECT_FALSE(r.empty());
   EXPECT_TRUE((VertexRange{5, 5}).empty());
+}
+
+/// `text` alone, as an array element, and as an object member.
+std::vector<std::string> json_contexts(const std::string& text) {
+  std::string in_array = "[";
+  in_array.append(text).append("]");
+  std::string in_object = R"({"k": )";
+  in_object.append(text).append("}");
+  return {text, in_array, in_object};
+}
+
+TEST(MiniJson, NumbersFollowRfc8259Exactly) {
+  struct Case {
+    const char* text;
+    double value;
+  };
+  const Case accept[] = {
+      {"0", 0.0},     {"-0", -0.0},      {"7", 7.0},
+      {"-12", -12.0}, {"1.5", 1.5},      {"0.25", 0.25},
+      {"1e3", 1e3},   {"1E+2", 1e2},     {"-2.5e-3", -2.5e-3},
+      {"1e308", 1e308}, {"123456789", 123456789.0}};
+  for (const Case& c : accept) {
+    for (const std::string& doc : json_contexts(c.text)) {
+      std::string err;
+      const json::ValuePtr v = json::parse(doc, &err);
+      ASSERT_NE(v, nullptr) << doc << ": " << err;
+      const json::Value* n = v.get();
+      if (v->is(json::Value::Type::kArray)) n = v->array[0].get();
+      if (v->is(json::Value::Type::kObject)) n = v->find("k");
+      ASSERT_TRUE(n != nullptr && n->is(json::Value::Type::kNumber)) << doc;
+      EXPECT_EQ(n->number, c.value) << doc;
+    }
+  }
+  // The first ten were accepted (as 0, 1.2, 1, 0.5 or inf) before the
+  // grammar was made strict.
+  const char* reject[] = {"-",  "e",  "--3", "1.2.3", "1-2",    "1e",
+                          "01", "+1", ".5",  "1e999", "-1e999", "1.",
+                          "1.e5", "-01", "0x10", "-inf", "1e+",  "00"};
+  for (const char* text : reject) {
+    for (const std::string& doc : json_contexts(text)) {
+      std::string err;
+      EXPECT_EQ(json::parse(doc, &err), nullptr) << doc << " was accepted";
+      EXPECT_FALSE(err.empty()) << doc;
+    }
+  }
+}
+
+TEST(MiniJson, NestingDepthIsCapped) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NE(json::parse(nested(json::Parser::kMaxDepth)), nullptr);
+  std::string err;
+  EXPECT_EQ(json::parse(nested(json::Parser::kMaxDepth + 1), &err), nullptr);
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  // Deep enough to overflow an 8 MiB stack without the cap.
+  err.clear();
+  EXPECT_EQ(json::parse(nested(200000), &err), nullptr);
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(200000, '}');
+  err.clear();
+  EXPECT_EQ(json::parse(objects, &err), nullptr);
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
 }
 
 }  // namespace

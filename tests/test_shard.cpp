@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -314,6 +315,75 @@ TEST(ShardTransport, TcpRejectsCorruptFrames) {
     put_le(b, kMaxFramePayload + 1, 8);
     put_le(b, 0, 8);
     poison(b);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Health poll client
+// ---------------------------------------------------------------------------
+
+/// Answers the next request on a loopback port with one HTTP/1.0
+/// response carrying `body_bytes` bytes of body.
+class OneShotHttp {
+ public:
+  explicit OneShotHttp(std::size_t body_bytes) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof addr;
+    if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), len) != 0 ||
+        ::listen(fd_, 1) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "loopback listener: " << std::strerror(errno);
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, body_bytes] {
+      const int c = ::accept(fd_, nullptr, nullptr);
+      if (c < 0) return;
+      char req[512];
+      (void)::recv(c, req, sizeof req, 0);
+      const std::string resp =
+          "HTTP/1.0 200 OK\r\n\r\n" + std::string(body_bytes, 'x');
+      // The client hangs up early once it passes its cap.
+      for (std::size_t off = 0; off < resp.size();) {
+        const ssize_t n = ::send(c, resp.data() + off, resp.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+      }
+      ::close(c);
+    });
+  }
+  OneShotHttp(const OneShotHttp&) = delete;
+  OneShotHttp& operator=(const OneShotHttp&) = delete;
+  ~OneShotHttp() {
+    if (thread_.joinable()) thread_.join();
+    ::close(fd_);
+  }
+  [[nodiscard]] int port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+TEST(HealthPoll, HttpGetBoundsTheResponse) {
+  {
+    OneShotHttp server(30000);  // a 64-histogram /metrics.json
+    ASSERT_GT(server.port(), 0);
+    const auto body = http_get("127.0.0.1", server.port(), "/metrics.json");
+    ASSERT_TRUE(body.has_value());
+    EXPECT_EQ(body->size(), 30000u);
+  }
+  {
+    // Headers plus a body of exactly the cap exceed it.
+    OneShotHttp server(kMaxHttpResponseBytes);
+    ASSERT_GT(server.port(), 0);
+    EXPECT_FALSE(
+        http_get("127.0.0.1", server.port(), "/metrics.json").has_value());
   }
 }
 
