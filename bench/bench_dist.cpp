@@ -271,22 +271,25 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     if (cli::flag_is(a, "--serve")) {
       serve_mode = true;
-    } else if (const char* v = cli::flag_value(a, "--graph=")) {
-      sa.graph = v;
-    } else if (const char* v = cli::flag_value(a, "--shard-id=")) {
+    } else if (const char* graph_arg = cli::flag_value(a, "--graph=")) {
+      sa.graph = graph_arg;
+    } else if (const char* shard_arg = cli::flag_value(a, "--shard-id=")) {
       sa.shard_id = static_cast<std::uint32_t>(
-          cli::parse_u64("--shard-id", v));
-    } else if (const char* v = cli::flag_value(a, "--range=")) {
+          cli::parse_u64("--shard-id", shard_arg));
+    } else if (const char* range_arg = cli::flag_value(a, "--range=")) {
       unsigned long lo = 0;
       unsigned long hi = 0;
-      HIPA_CHECK(std::sscanf(v, "%lu:%lu", &lo, &hi) == 2 && lo < hi,
-                 "--range expects a:b");
+      HIPA_CHECK(
+          std::sscanf(range_arg, "%lu:%lu", &lo, &hi) == 2 && lo < hi,
+          "--range expects a:b");
       sa.range = VertexRange{static_cast<vid_t>(lo),
                              static_cast<vid_t>(hi)};
-    } else if (const char* v = cli::flag_value(a, "--iters=")) {
-      sa.iters = static_cast<unsigned>(cli::parse_u64("--iters", v));
-    } else if (const char* v = cli::flag_value(a, "--notify-fd=")) {
-      sa.notify_fd = static_cast<int>(cli::parse_u64("--notify-fd", v));
+    } else if (const char* iters_arg = cli::flag_value(a, "--iters=")) {
+      sa.iters =
+          static_cast<unsigned>(cli::parse_u64("--iters", iters_arg));
+    } else if (const char* fd_arg = cli::flag_value(a, "--notify-fd=")) {
+      sa.notify_fd =
+          static_cast<int>(cli::parse_u64("--notify-fd", fd_arg));
     }
   }
   if (serve_mode) {

@@ -53,8 +53,9 @@ struct Flags {
     Flags f;
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
-      if (const char* v = cli::flag_value(a, "--iters=")) {
-        f.iterations = static_cast<unsigned>(cli::parse_u64("--iters", v));
+      if (const char* iters_arg = cli::flag_value(a, "--iters=")) {
+        f.iterations =
+            static_cast<unsigned>(cli::parse_u64("--iters", iters_arg));
       } else if (cli::flag_is(a, "--quick")) {
         // Smoke mode: 8x extra shrink. Degenerate caches distort shapes;
         // use default scales for reproduction-quality numbers.
@@ -62,16 +63,20 @@ struct Flags {
       } else if (cli::flag_is(a, "--smoke")) {
         f.smoke = true;
         f.quick = true;
-      } else if (const char* v = cli::flag_value(a, "--dataset=")) {
-        f.dataset = parse_dataset(v);
-      } else if (const char* v = cli::flag_value(a, "--methods=")) {
-        f.methods = parse_methods(v);
-      } else if (const char* v = cli::flag_value(a, "--kernel=")) {
-        f.kernels = parse_kernels(v);
-      } else if (const char* v = cli::flag_value(a, "--out=")) {
-        f.out = v;
-      } else if (const char* v = cli::flag_value(a, "--trace-out=")) {
-        f.trace_out = v;
+      } else if (const char* dataset_arg =
+                     cli::flag_value(a, "--dataset=")) {
+        f.dataset = parse_dataset(dataset_arg);
+      } else if (const char* methods_arg =
+                     cli::flag_value(a, "--methods=")) {
+        f.methods = parse_methods(methods_arg);
+      } else if (const char* kernels_arg =
+                     cli::flag_value(a, "--kernel=")) {
+        f.kernels = parse_kernels(kernels_arg);
+      } else if (const char* out_arg = cli::flag_value(a, "--out=")) {
+        f.out = out_arg;
+      } else if (const char* trace_arg =
+                     cli::flag_value(a, "--trace-out=")) {
+        f.trace_out = trace_arg;
       } else if (cli::flag_is(a, "--help")) {
         std::printf(
             "flags: --iters=N  --quick  --smoke  --dataset=<name>  "

@@ -53,7 +53,8 @@ int main() {
   std::printf("\n");
 
   // 4. The hottest page gains a few in-links; a small batch refreshes
-  //    via PageRank-Delta and republishes.
+  //    with a push warm-started from the published ranks and
+  //    republishes.
   const vid_t star = top.topk.front().vertex;
   for (vid_t src = 1; src <= 3; ++src) {
     queue.push_add(Edge{src % n, star});

@@ -1,14 +1,14 @@
 // Incremental web ranking through the serving layer (paper §6
 // extension): live link updates flow through the MPSC UpdateQueue into
-// the background refresh cycle — small bursts are absorbed by
-// PageRank-Delta (only changed mass propagates), a big recrawl batch
-// triggers a full exact HiPa run — and every refresh atomically
-// republishes the next snapshot epoch while queries keep reading the
-// previous one.
+// the background refresh cycle — small bursts are absorbed by a push
+// warm-started from the published ranks (only the mass downstream of
+// the changed links moves), a big recrawl batch triggers a full exact
+// HiPa run — and every refresh atomically republishes the next snapshot
+// epoch while queries keep reading the previous one.
 //
-// The second half keeps the original convergence lesson: the delta
-// epsilon trades edge pushes against L1 error relative to the fixed-
-// iteration baseline.
+// The second half keeps the original convergence lesson with the cold
+// PageRank-Delta solver: its epsilon trades edge pushes against L1
+// error relative to the fixed-iteration baseline.
 #include <cstdio>
 #include <random>
 #include <utility>

@@ -1,8 +1,13 @@
-// PageRank-Delta: incremental PageRank that only propagates rank
-// *changes* above a threshold (paper §6's second extension target).
+// PageRank-Delta (paper §6's second extension target): PageRank
+// computed by pushing rank *changes* instead of whole ranks, from a cold
+// start — rank = 0 and every vertex's residual = (1 - d)/|V|.
 //
-// Vertices whose accumulated delta falls below `epsilon / |V|` stop
-// propagating; the computation converges when the active set drains.
+// Each round, a vertex whose residual reaches `epsilon / |V|` settles it
+// into its rank and spreads d * residual over its out-edges; vertices
+// below the threshold stop propagating, and the computation converges
+// when the active set drains. It does not start from an earlier result:
+// the serving layer's incremental refresh (serve/updates) is a serial
+// warm-started push of its own over the same residual rule.
 // The engine applies the HiPa methodology: vertex ranges are split into
 // cache-sized partitions grouped per thread (hierarchical plan), the
 // team is persistent and node-bound, and attribute arrays are placed

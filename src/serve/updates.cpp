@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -64,7 +65,6 @@ UpdateRefresher::UpdateRefresher(vid_t num_vertices,
                                  SnapshotStore& store, UpdateQueue& queue,
                                  RefreshOptions opt)
     : num_vertices_(num_vertices),
-      edges_(std::move(edges)),
       store_(store),
       queue_(queue),
       opt_(std::move(opt)) {
@@ -72,13 +72,21 @@ UpdateRefresher::UpdateRefresher(vid_t num_vertices,
              "refresher vertex count " << num_vertices_
                                        << " != store vertices "
                                        << store_.num_vertices());
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     HIPA_CHECK(e.src < num_vertices_ && e.dst < num_vertices_,
                "base edge (" << e.src << ", " << e.dst
                              << ") outside vertex universe "
                              << num_vertices_);
   }
-  graph_ = graph::build_graph(num_vertices_, edges_, opt_.build);
+  HIPA_CHECK(opt_.build.remove_duplicates && !opt_.build.symmetrize,
+             "refresher splices a duplicate-free, unsymmetrized CSR: "
+             "build options need remove_duplicates and no symmetrize");
+  if (opt_.full.kernel == algo::Kernel::kPersonalized) {
+    damping_ = opt_.full.personalized.damping;
+  } else {
+    damping_ = opt_.full.pr.damping;
+  }
+  graph_ = graph::build_graph(num_vertices_, edges, opt_.build);
 
   if (opt_.metrics) {
     namespace m = runtime::metrics;
@@ -160,6 +168,7 @@ std::uint64_t UpdateRefresher::publish_initial() {
   std::lock_guard<std::mutex> lock(refresh_mutex_);
   Timer timer;
   const engine::RunResult result = full_run();
+  reset_warm(result.ranks);
   full_refreshes_.fetch_add(1, std::memory_order_relaxed);
   refreshes_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = store_.publish(result);
@@ -173,20 +182,96 @@ std::uint64_t UpdateRefresher::publish_initial() {
   return epoch;
 }
 
-void UpdateRefresher::apply(const std::vector<EdgeUpdate>& updates) {
-  for (const EdgeUpdate& u : updates) {
+std::vector<graph::RowEdit> UpdateRefresher::final_edits(
+    const std::vector<EdgeUpdate>& batch) const {
+  // The newest update of an edge wins: a remove drops every occurrence,
+  // and an insert of a present edge is a no-op under deduplication.
+  std::vector<graph::RowEdit> edits;
+  edits.reserve(batch.size());
+  for (const EdgeUpdate& u : batch) {
     HIPA_CHECK(u.edge.src < num_vertices_ && u.edge.dst < num_vertices_,
                "update edge (" << u.edge.src << ", " << u.edge.dst
                                << ") outside vertex universe "
                                << num_vertices_);
-    if (u.remove) {
-      // Drop every occurrence (parallel edges included).
-      edges_.erase(std::remove(edges_.begin(), edges_.end(), u.edge),
-                   edges_.end());
-    } else {
-      edges_.push_back(u.edge);
-    }
+    if (opt_.build.remove_self_loops && u.edge.src == u.edge.dst) continue;
+    edits.push_back(graph::RowEdit{u.edge.src, u.edge.dst, !u.remove});
   }
+  return graph::coalesce_edits(std::move(edits));
+}
+
+void UpdateRefresher::reset_warm(std::span<const rank_t> ranks) {
+  x_.assign(ranks.begin(), ranks.end());
+  r_.assign(ranks.size(), 0.0);
+  queued_.assign(ranks.size(), 0);
+  frontier_.clear();
+}
+
+std::optional<unsigned> UpdateRefresher::warm_push(
+    const graph::CsrGraph& old_out, std::span<const graph::RowEdit> edits) {
+  const double threshold =
+      opt_.delta.epsilon / static_cast<double>(num_vertices_);
+  // Edge visits one full run makes: past this, the full run is cheaper.
+  const std::uint64_t budget =
+      graph_.num_edges() * std::uint64_t{opt_.full.pr.iterations};
+  std::uint64_t visited = 0;
+  auto enqueue = [&](std::vector<vid_t>& into, vid_t w) {
+    if (queued_[w] == 0 && std::abs(r_[w]) >= threshold) {
+      queued_[w] = 1;
+      into.push_back(w);
+    }
+  };
+  // Residual correction: with x fixed, r = b - x + a*M*x, so changing
+  // u's out-row moves a*x[u]/deg(u) from the old row's targets to the
+  // new row's. The teleport term b does not change.
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    const vid_t u = edits[i].row;
+    if (i > 0 && edits[i - 1].row == u) continue;
+    const std::span<const vid_t> before = old_out.neighbors(u);
+    const std::span<const vid_t> after = graph_.out.neighbors(u);
+    if (std::equal(before.begin(), before.end(), after.begin(), after.end())) {
+      continue;
+    }
+    if (!before.empty()) {
+      const double flow =
+          damping_ * x_[u] / static_cast<double>(before.size());
+      for (vid_t w : before) r_[w] -= flow;
+    }
+    if (!after.empty()) {
+      const double flow = damping_ * x_[u] / static_cast<double>(after.size());
+      for (vid_t w : after) r_[w] += flow;
+    }
+    for (vid_t w : before) enqueue(frontier_, w);
+    for (vid_t w : after) enqueue(frontier_, w);
+    visited += before.size() + after.size();
+    if (visited > budget) return std::nullopt;
+  }
+  // FIFO worklist push, one round per generation: settle r[v] into
+  // x[v] and spread a*r[v] over v's out-row (sinks keep their mass, as
+  // in the engines). A vertex still queued later in this round absorbs
+  // the new residual when its turn comes.
+  unsigned rounds = 0;
+  while (!frontier_.empty() && rounds < opt_.delta.max_iterations) {
+    next_frontier_.clear();
+    for (const vid_t v : frontier_) {
+      queued_[v] = 0;
+      const double res = r_[v];
+      if (std::abs(res) < threshold) continue;
+      r_[v] = 0.0;
+      x_[v] += res;
+      const std::span<const vid_t> out = graph_.out.neighbors(v);
+      if (out.empty()) continue;
+      visited += out.size();
+      if (visited > budget) return std::nullopt;
+      const double push = damping_ * res / static_cast<double>(out.size());
+      for (const vid_t w : out) {
+        r_[w] += push;
+        enqueue(next_frontier_, w);
+      }
+    }
+    frontier_.swap(next_frontier_);
+    ++rounds;
+  }
+  return rounds;
 }
 
 RefreshReport UpdateRefresher::refresh_now() {
@@ -221,15 +306,24 @@ RefreshReport UpdateRefresher::refresh_now() {
   if (batch.empty()) return report;
 
   Timer timer;
-  apply(batch);
-  // Rebuild the CSR bundle; the builder's canonicalization (sorted,
-  // deduplicated) keeps repeated inserts idempotent.
-  graph_ = graph::build_graph(num_vertices_, edges_, opt_.build);
+  const std::vector<graph::RowEdit> edits = final_edits(batch);
+  graph::Graph next = graph::splice_graph(graph_, edits);
 
   report.updates_applied = batch.size();
-  report.full_run = batch.size() > opt_.small_batch_max;
+  std::optional<unsigned> rounds;
+  // No published ranks yet: nothing to warm-start from.
+  if (batch.size() <= opt_.small_batch_max && !x_.empty()) {
+    std::swap(graph_, next);  // `next` now holds the previous graph
+    rounds = warm_push(next.out, edits);
+    next = graph::Graph{};  // free it before a fallback full run
+  } else {
+    graph_ = std::move(next);
+  }
+  report.full_run = !rounds.has_value();
   if (report.full_run) {
+    x_.clear();  // stale for the new graph until the full run succeeds
     const engine::RunResult result = full_run();
+    reset_warm(result.ranks);
     report.iterations = result.report.iterations;
     report.epoch = store_.publish(result);
     full_refreshes_.fetch_add(1, std::memory_order_relaxed);
@@ -237,11 +331,9 @@ RefreshReport UpdateRefresher::refresh_now() {
       engine::fold_run_metrics(*registry_, result.report);
     }
   } else {
-    engine::NativeBackend backend;
-    const algo::DeltaResult result =
-        algo::pagerank_delta(graph_, opt_.delta, backend);
-    report.iterations = result.iterations;
-    report.epoch = store_.publish(std::span<const rank_t>(result.ranks));
+    report.iterations = *rounds;
+    publish_buf_.assign(x_.begin(), x_.end());
+    report.epoch = store_.publish(std::span<const rank_t>(publish_buf_));
     delta_refreshes_.fetch_add(1, std::memory_order_relaxed);
   }
   refreshes_.fetch_add(1, std::memory_order_relaxed);

@@ -7,14 +7,25 @@
 //     whole pending list in one atomic exchange and returns it in
 //     arrival (FIFO) order. Producers never lock, never wait, and
 //     never touch the graph.
-//   * UpdateRefresher — the single consumer: drains the queue, applies
-//     the updates to its private edge list, rebuilds the CSR, picks a
-//     recompute strategy by batch size —
-//       small batch (<= small_batch_max): PageRank-Delta, which only
-//         propagates changed mass (paper §6's incremental extension;
-//         approximate, bounded by its epsilon);
-//       large batch: a full HiPa engine run (exact, and — with the
-//         deterministic PCPM gather — bitwise-reproducible);
+//   * UpdateRefresher — the single consumer: drains the queue, splices
+//     the changed rows into its CSR (out and in; no rebuild, no edge
+//     list), picks a recompute strategy by batch size —
+//       small batch (<= small_batch_max): a warm-started push. The
+//         refresher keeps the last published ranks x and their residual
+//         r against the current graph. Each changed source u moves
+//         r[w] by -a*x[u]/d_u over its old out-row and +a*x[u]/d'_u
+//         over its new one (the dynamic-graph invariant of Zhang,
+//         Lofgren & Goel, KDD 2016), then a serial FIFO worklist
+//         pushes every |r[v]| >= epsilon/|V| onward. Only mass
+//         downstream of the change moves; the result is approximate,
+//         bounded by epsilon, serial and bitwise reproducible. A push
+//         that visits more edges than one full run would is abandoned
+//         and the batch runs full instead. The
+//         correction never touches the teleport vector, so a PPR-backed
+//         refresher stays PPR;
+//       large batch: a full engine run of the configured kernel
+//         (exact, and — with the deterministic PCPM gather — bitwise-
+//         reproducible), after which x = its ranks and r = 0;
 //     — and atomically publishes the resulting ranks as the next
 //     snapshot epoch. Readers keep querying the previous epoch for the
 //     whole recompute; the publish is the store's one-word swap.
@@ -28,13 +39,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "algos/pagerank.hpp"
-#include "algos/pagerank_delta.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
+#include "graph/splice.hpp"
 #include "runtime/metrics.hpp"
 #include "serve/snapshot.hpp"
 
@@ -85,23 +98,44 @@ class UpdateQueue {
   std::atomic<std::uint64_t> drained_{0};  ///< consumer-only writes
 };
 
+/// Knobs of the small-batch warm push.
+struct WarmPushOptions {
+  /// A vertex pushes while |residual| >= epsilon / |V|. Tighter than
+  /// the cold solver's 1e-2: after 20 batches of up to 64 updates on
+  /// R-MAT scale 14, 1e-2 leaves the warm ranks 1.8x the full run's own
+  /// L1 error away from a fresh full run, 3e-4 leaves 0.4x, and at
+  /// scale 18 it costs ~4 ms more per refresh.
+  double epsilon = 3e-4;
+  /// Worklist rounds per refresh; what is left waits in the residual
+  /// for the next refresh.
+  unsigned max_iterations = 100;
+};
+
 /// Refresh strategy knobs.
 struct RefreshOptions {
-  /// Batches of at most this many updates refresh with PageRank-Delta;
-  /// larger batches trigger a full engine run.
+  /// Batches of at most this many updates refresh with the warm push;
+  /// larger batches trigger a full engine run. A small batch runs full
+  /// too when it arrives before any full run (no published ranks to
+  /// warm from), or when its push visits more edges than one full run
+  /// would (|E| x `full.pr.iterations`): the push is abandoned there.
   std::uint64_t small_batch_max = 64;
-  /// Delta-path options. threads defaults to 1 here (deterministic:
-  /// the delta push phase uses atomic adds, so only a single-threaded
-  /// run is bitwise-reproducible).
-  algo::DeltaOptions delta{.threads = 1, .num_nodes = 1};
+  /// Warm-push knobs. Its damping is the full-run kernel's
+  /// (`full.pr.damping`, or `full.personalized.damping` for PPR), since
+  /// the push continues the ranks that kernel produced.
+  WarmPushOptions delta{};
   /// Full-run path: methodology + parameters for the kernel-generic
   /// runners. `full.kernel` selects which rank-producing kernel backs
   /// the refresh — kPageRank (default) or kPersonalized with
   /// `full.personalized` seeds; non-rank kernels are rejected.
   algo::Method full_method = algo::Method::kHipa;
   algo::MethodParams full{};
-  /// CSR canonicalization for rebuilds (duplicates dropped so repeated
-  /// inserts of one edge are idempotent).
+  /// CSR canonicalization of the base graph (duplicates dropped so
+  /// repeated inserts of one edge are idempotent). Refreshes splice
+  /// rows and keep that form: the graph always equals build_graph()
+  /// over the edited edge list. The constructor rejects
+  /// remove_duplicates = false and symmetrize = true: a splice cannot
+  /// tell a parallel copy or a reverse edge from the original.
+  /// remove_self_loops is honored.
   graph::BuildOptions build{.sort_neighbors = true,
                             .remove_duplicates = true};
   /// Non-empty: full recomputes stream from this segmented HCSR v3/v4
@@ -131,18 +165,19 @@ struct RefreshOptions {
 struct RefreshReport {
   std::uint64_t epoch = 0;  ///< published epoch; 0 = queue was empty
   std::size_t updates_applied = 0;
-  bool full_run = false;    ///< full engine run vs PageRank-Delta
-  unsigned iterations = 0;
-  double seconds = 0.0;     ///< drain + rebuild + recompute + publish
+  bool full_run = false;    ///< full engine run vs warm push
+  unsigned iterations = 0;  ///< engine iterations, or worklist rounds
+  double seconds = 0.0;     ///< drain + splice + recompute + publish
 };
 
-/// The single consumer: owns the evolving edge list + CSR, recomputes
-/// and publishes. All refreshing (synchronous or background) is
+/// The single consumer: owns the evolving CSR and the warm-push state,
+/// recomputes and publishes. All refreshing (synchronous or background) is
 /// serialized internally; producers only ever touch the queue.
 class UpdateRefresher {
  public:
   /// `edges` is the base edge list; ids must be < num_vertices (the
-  /// store's vertex universe is fixed at its construction).
+  /// store's vertex universe is fixed at its construction). It is
+  /// built into the CSR and released.
   UpdateRefresher(vid_t num_vertices, std::vector<Edge> edges,
                   SnapshotStore& store, UpdateQueue& queue,
                   RefreshOptions opt = {});
@@ -155,8 +190,8 @@ class UpdateRefresher {
   /// epoch if the store already holds snapshots). Returns the epoch.
   std::uint64_t publish_initial();
 
-  /// One synchronous refresh cycle: drain → apply → rebuild →
-  /// recompute → publish. No-op (epoch 0) when the queue is empty.
+  /// One synchronous refresh cycle: drain → splice → recompute →
+  /// publish. No-op (epoch 0) when the queue is empty.
   RefreshReport refresh_now();
 
   /// Start/stop the background refresher thread (idempotent). The
@@ -171,8 +206,9 @@ class UpdateRefresher {
   /// Current graph (consumer-side; callers must not race a running
   /// background refresher — exposed for tests and examples).
   [[nodiscard]] const graph::Graph& graph() const { return graph_; }
+  /// Edges of the served graph (after deduplication).
   [[nodiscard]] std::uint64_t num_edges() const {
-    return static_cast<std::uint64_t>(edges_.size());
+    return graph_.num_edges();
   }
 
   // Counters (monotone, racy-read safe).
@@ -187,17 +223,36 @@ class UpdateRefresher {
   }
 
  private:
-  void apply(const std::vector<EdgeUpdate>& updates);
   void background_loop();
   /// One full engine run with the configured method + kernel.
   [[nodiscard]] engine::RunResult full_run();
+  /// `batch` as final-state out-edits, sorted (validates every id).
+  [[nodiscard]] std::vector<graph::RowEdit> final_edits(
+      const std::vector<EdgeUpdate>& batch) const;
+  /// Restart the warm state from a full run's ranks (r = 0).
+  void reset_warm(std::span<const rank_t> ranks);
+  /// Move the residual by the rank flow `old_out` -> graph_.out changed
+  /// for each edited source, then push it. Returns the worklist rounds,
+  /// or nullopt once the edges visited pass one full run's (the warm
+  /// state is then stale).
+  std::optional<unsigned> warm_push(const graph::CsrGraph& old_out,
+                                    std::span<const graph::RowEdit> edits);
 
   vid_t num_vertices_;
-  std::vector<Edge> edges_;
   graph::Graph graph_;
   SnapshotStore& store_;
   UpdateQueue& queue_;
   RefreshOptions opt_;
+  /// Damping of the kernel behind the full run (and so behind x_).
+  double damping_ = 0.85;
+
+  // Warm-push state; x_ is empty until a full run succeeds.
+  std::vector<double> x_;             ///< last published ranks
+  std::vector<double> r_;             ///< residual of x_ on graph_
+  std::vector<vid_t> frontier_;       ///< vertices queued for a push
+  std::vector<vid_t> next_frontier_;  ///< the round being collected
+  std::vector<std::uint8_t> queued_;  ///< membership of both frontiers
+  std::vector<rank_t> publish_buf_;   ///< x_ narrowed for publishing
 
   std::mutex refresh_mutex_;  ///< serializes refresh cycles
   std::thread thread_;

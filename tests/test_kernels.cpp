@@ -493,6 +493,47 @@ TEST(ServeRefresh, PersonalizedKernelBacksRefresh) {
                            n * sizeof(rank_t)));
 }
 
+// A small batch on a PPR-backed refresher takes the warm push, which
+// continues the PPR ranks: the result stays within the full run's own
+// error (L1 to a 100-iteration PPR) of a fresh PPR run on the edited
+// graph. Global PageRank would sit far outside it.
+TEST(ServeRefresh, PersonalizedSmallBatchStaysPersonalized) {
+  const vid_t n = 400;
+  std::vector<Edge> edges;
+  for (vid_t v = 0; v < n; ++v) {
+    edges.push_back(Edge{v, (v * 13 + 1) % n});
+    edges.push_back(Edge{v, (v * 7 + 3) % n});
+  }
+
+  serve::SnapshotStore store(n);
+  serve::UpdateQueue queue;
+  serve::RefreshOptions opt;
+  opt.full.threads = 2;
+  opt.full.kernel = Kernel::kPersonalized;
+  opt.full.personalized.seeds = {7, 11};
+  serve::UpdateRefresher refresher(n, edges, store, queue, opt);
+  refresher.publish_initial();
+
+  queue.push_add(Edge{7, 200});
+  queue.push_add(Edge{11, 300});
+  queue.push_remove(Edge{7, (7 * 13 + 1) % n});
+  const serve::RefreshReport report = refresher.refresh_now();
+  ASSERT_FALSE(report.full_run);
+
+  const auto fresh = run_kernel_native<engine::PprKernel>(
+      Method::kHipa, refresher.graph(), opt.full.personalized, opt.full);
+  const std::vector<rank_t> converged =
+      ppr_reference(refresher.graph(), 100, opt.full.personalized.damping,
+                    opt.full.personalized.seeds);
+  const double own_error = l1_distance(fresh.values, converged);
+  serve::SnapshotRef snap = store.current();
+  ASSERT_TRUE(snap.valid());
+  EXPECT_LE(l1_distance(snap->ranks(), fresh.values), own_error);
+  const std::vector<rank_t> global =
+      pagerank_reference(refresher.graph(), 100, opt.full.pr.damping);
+  EXPECT_GT(l1_distance(global, fresh.values), 10 * own_error);
+}
+
 // Non-rank kernels cannot back a rank-serving refresh.
 TEST(ServeRefresh, RejectsNonRankKernels) {
   const vid_t n = 16;

@@ -421,8 +421,9 @@ TEST(MetricsOffPath, ServeResultsByteIdentical) {
   }
 
   m::MetricsRegistry reg;  // private, so global state stays untouched
-  StoreOptions on_opt{.num_nodes = 2, .metrics = true, .registry = &reg};
-  StoreOptions off_opt{.num_nodes = 2, .metrics = false};
+  StoreOptions on_opt{
+      .num_nodes = 2, .node_ranges = {}, .metrics = true, .registry = &reg};
+  StoreOptions off_opt{.num_nodes = 2, .node_ranges = {}, .metrics = false};
   SnapshotStore store_on(n, on_opt);
   SnapshotStore store_off(n, off_opt);
   store_on.publish(std::span<const rank_t>(ranks));
@@ -467,7 +468,8 @@ TEST(MetricsOffPath, ServiceExposesEndpointWhenConfigured) {
   const vid_t n = 1024;
   std::vector<rank_t> ranks(n, 1.0f);
   m::MetricsRegistry reg;
-  StoreOptions sopt{.num_nodes = 1, .metrics = true, .registry = &reg};
+  StoreOptions sopt{
+      .num_nodes = 1, .node_ranges = {}, .metrics = true, .registry = &reg};
   SnapshotStore store(n, sopt);
   store.publish(std::span<const rank_t>(ranks));
   ServiceOptions opt{.pin_workers = false, .metrics = true, .registry = &reg,

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -476,6 +478,382 @@ TEST(Refresher, RejectsOutOfUniverseUpdates) {
   refresher.publish_initial();
   queue.push_add(Edge{0, 99});
   EXPECT_THROW(refresher.refresh_now(), Error);
+}
+
+TEST(Refresher, NumEdgesCountsServedEdges) {
+  const vid_t n = 16;
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  UpdateRefresher refresher(n, {{0, 1}, {1, 2}, {1, 2}, {2, 3}}, store,
+                            queue);
+  EXPECT_EQ(refresher.num_edges(), 3u);  // the base duplicate is dropped
+  refresher.publish_initial();
+  queue.push_add(Edge{0, 1});
+  queue.push_add(Edge{0, 1});
+  refresher.refresh_now();
+  EXPECT_EQ(refresher.num_edges(), 3u);
+  queue.push_add(Edge{3, 0});
+  refresher.refresh_now();
+  EXPECT_EQ(refresher.num_edges(), 4u);
+}
+
+/// Reference semantics of a batch on a plain edge list: an insert
+/// appends, a remove drops every occurrence.
+void apply_to_list(std::vector<Edge>& list,
+                   const std::vector<EdgeUpdate>& batch) {
+  for (const EdgeUpdate& u : batch) {
+    if (u.remove) {
+      list.erase(std::remove(list.begin(), list.end(), u.edge), list.end());
+    } else {
+      list.push_back(u.edge);
+    }
+  }
+}
+
+void expect_same_csr(const graph::CsrGraph& got,
+                     const graph::CsrGraph& want) {
+  ASSERT_EQ(got.offsets().size(), want.offsets().size());
+  EXPECT_EQ(0, std::memcmp(got.offsets().data(), want.offsets().data(),
+                           want.offsets().size_bytes()));
+  ASSERT_EQ(got.targets().size(), want.targets().size());
+  if (!want.targets().empty()) {
+    EXPECT_EQ(0, std::memcmp(got.targets().data(), want.targets().data(),
+                             want.targets().size_bytes()));
+  }
+}
+
+struct SpliceRun {
+  unsigned to_sink = 0;    ///< vertices whose last out-edge went
+  unsigned from_sink = 0;  ///< sinks that gained an out-edge
+};
+
+/// Feeds `batches` seeded random batches through a refresher built
+/// with `opt` and checks, after every refresh, that its out and in CSR
+/// are byte-identical to build_graph() over a reference edge list.
+/// Batches mix every edit shape: inserts of present and new edges,
+/// removes of present and absent ones, insert-then-remove of one edge,
+/// self-loops, and a vertex losing all out-edges or a sink gaining one.
+SpliceRun check_splice_matches_rebuild(const RefreshOptions& opt,
+                                       std::uint64_t seed,
+                                       unsigned batches) {
+  const vid_t n = 48;
+  std::vector<Edge> list = test_edges(n, 120, seed);
+  list.push_back(list.front());  // a duplicate in the base list
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  UpdateRefresher refresher(n, list, store, queue, opt);
+  refresher.publish_initial();
+
+  SpliceRun run;
+  std::mt19937_64 rng(seed);
+  auto pick = [&] { return static_cast<vid_t>(rng() % n); };
+  for (unsigned b = 0; b < batches; ++b) {
+    std::vector<EdgeUpdate> batch;
+    const unsigned ops = 1 + static_cast<unsigned>(rng() % 8);
+    for (unsigned k = 0; k < ops; ++k) {
+      const Edge fresh{pick(), pick()};
+      const Edge present = list.empty() ? fresh : list[rng() % list.size()];
+      switch (rng() % 7) {
+        case 0: batch.push_back({present, false}); break;
+        case 1: batch.push_back({fresh, false}); break;
+        case 2: batch.push_back({fresh, true}); break;
+        case 3: batch.push_back({present, true}); break;
+        case 4:
+          batch.push_back({fresh, false});
+          batch.push_back({fresh, true});
+          break;
+        case 5: {
+          const vid_t v = pick();
+          batch.push_back({Edge{v, v}, rng() % 2 == 0});
+          break;
+        }
+        default: {
+          const vid_t v = pick();
+          const auto row = refresher.graph().out.neighbors(v);
+          if (row.empty()) {
+            batch.push_back({Edge{v, pick()}, false});
+          } else {
+            for (vid_t w : row) batch.push_back({Edge{v, w}, true});
+          }
+        }
+      }
+    }
+    std::vector<vid_t> before(n);
+    for (vid_t v = 0; v < n; ++v) before[v] = refresher.graph().out.degree(v);
+    for (const EdgeUpdate& u : batch) queue.push(u);
+    apply_to_list(list, batch);
+    EXPECT_GT(refresher.refresh_now().epoch, 0u);
+
+    const graph::Graph want = graph::build_graph(n, list, opt.build);
+    expect_same_csr(refresher.graph().out, want.out);
+    expect_same_csr(refresher.graph().in, want.in);
+    EXPECT_EQ(refresher.num_edges(), want.num_edges());
+    for (vid_t v = 0; v < n; ++v) {
+      const vid_t after = refresher.graph().out.degree(v);
+      run.to_sink += before[v] > 0 && after == 0;
+      run.from_sink += before[v] == 0 && after > 0;
+    }
+  }
+  return run;
+}
+
+TEST(Refresher, SpliceMatchesRebuildOverRandomBatches) {
+  RefreshOptions opt;
+  opt.small_batch_max = 6;  // both paths splice
+  opt.full.threads = 1;
+  opt.full.pr.iterations = 4;
+  const SpliceRun run = check_splice_matches_rebuild(opt, 21, 200);
+  EXPECT_GT(run.to_sink, 0u);
+  EXPECT_GT(run.from_sink, 0u);
+}
+
+// Every BuildOptions combination is either reproduced by the splice or
+// rejected up front.
+TEST(Refresher, BuildOptionsAreSplicedOrRejected) {
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    RefreshOptions opt;
+    opt.full.threads = 1;
+    opt.full.pr.iterations = 4;
+    opt.build = graph::BuildOptions{.sort_neighbors = (mask & 1) != 0,
+                                    .remove_duplicates = (mask & 2) != 0,
+                                    .remove_self_loops = (mask & 4) != 0,
+                                    .symmetrize = (mask & 8) != 0};
+    SCOPED_TRACE(mask);
+    if (!opt.build.remove_duplicates || opt.build.symmetrize) {
+      SnapshotStore store(4);
+      UpdateQueue queue;
+      EXPECT_THROW(UpdateRefresher(4, {{0, 1}}, store, queue, opt), Error);
+      continue;
+    }
+    (void)check_splice_matches_rebuild(opt, 100 + mask, 40);
+  }
+}
+
+/// `count` random updates on an R-MAT graph: one in ten removes a base
+/// edge, the rest insert random edges.
+void push_random_batch(UpdateQueue& queue, std::mt19937_64& rng, vid_t n,
+                       const std::vector<Edge>& base, unsigned count) {
+  for (unsigned j = 0; j < count; ++j) {
+    if (rng() % 10 == 0) {
+      queue.push_remove(base[rng() % base.size()]);
+    } else {
+      queue.push_add(Edge{static_cast<vid_t>(rng() % n),
+                          static_cast<vid_t>(rng() % n)});
+    }
+  }
+}
+
+std::vector<Edge> rmat_edges(unsigned scale) {
+  graph::RmatParams rp;
+  rp.scale = scale;
+  rp.edge_factor = 16;
+  rp.seed = 5;
+  return graph::generate_rmat(rp);
+}
+
+// After k small batches the warm-pushed ranks stay within the full
+// run's own error (L1 to a 100-iteration reference) of a fresh full
+// run on the edited graph — and much closer to it than the ranks
+// published before the batches.
+TEST(Refresher, WarmPushTracksFreshFullRun) {
+  const vid_t n = vid_t{1} << 14;
+  const std::vector<Edge> base = rmat_edges(14);
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  UpdateRefresher refresher(n, base, store, queue, opt);
+  refresher.publish_initial();
+  const std::vector<rank_t> initial(store.current()->ranks().begin(),
+                                    store.current()->ranks().end());
+
+  std::mt19937_64 rng(9);
+  for (unsigned k = 0; k < 20; ++k) {
+    push_random_batch(queue, rng, n, base, 1 + rng() % 64);
+    ASSERT_FALSE(refresher.refresh_now().full_run);
+  }
+
+  const engine::RunResult fresh =
+      algo::run_method_native(algo::Method::kHipa, refresher.graph(),
+                              opt.full);
+  const std::vector<rank_t> reference =
+      algo::pagerank_reference(refresher.graph(), 100);
+  const SnapshotRef snap = store.current();
+  const double warm_error = algo::l1_distance(snap->ranks(), fresh.ranks);
+  EXPECT_LE(warm_error, algo::l1_distance(fresh.ranks, reference));
+  EXPECT_LT(4 * warm_error, algo::l1_distance(initial, fresh.ranks));
+}
+
+// The warm push continues the full run's ranks with the full run's
+// damping: with full.pr.damping = 0.7 and a tight epsilon the warm
+// ranks stay within that run's own error of a fresh 0.7 run (a push at
+// 0.85 lands ~10x further away).
+TEST(Refresher, WarmPushUsesTheFullRunDamping) {
+  const vid_t n = vid_t{1} << 12;
+  const std::vector<Edge> base = rmat_edges(12);
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  opt.full.pr.damping = 0.7f;
+  opt.delta.epsilon = 1e-6;
+  UpdateRefresher refresher(n, base, store, queue, opt);
+  refresher.publish_initial();
+  std::mt19937_64 rng(21);
+  for (unsigned k = 0; k < 20; ++k) {
+    push_random_batch(queue, rng, n, base, 1 + rng() % 64);
+    ASSERT_FALSE(refresher.refresh_now().full_run);
+  }
+  const engine::RunResult fresh =
+      algo::run_method_native(algo::Method::kHipa, refresher.graph(),
+                              opt.full);
+  const std::vector<rank_t> reference =
+      algo::pagerank_reference(refresher.graph(), 100, 0.7f);
+  EXPECT_LE(algo::l1_distance(store.current()->ranks(), fresh.ranks),
+            algo::l1_distance(fresh.ranks, reference));
+}
+
+/// R-MAT scale 14 with vertex 0 made a hub: a quarter of the vertices
+/// link to it and it links only to vertex 1, so it holds the top rank
+/// with a one-edge out-row.
+std::vector<Edge> hub_edges() {
+  const vid_t n = vid_t{1} << 14;
+  std::vector<Edge> edges = rmat_edges(14);
+  std::erase_if(edges, [](const Edge& e) { return e.src == 0; });
+  edges.push_back(Edge{0, 1});
+  for (vid_t v = 1; v < n / 4; ++v) edges.push_back(Edge{v, 0});
+  return edges;
+}
+
+// Rewiring the out-row of the top-ranked vertex moves the most rank
+// mass a two-update batch can. The warm push still lands within the
+// error it inherits from the full run it continues plus a fresh full
+// run's own error, measured against 100-iteration references.
+TEST(Refresher, RewiringTheTopRankedVertexStaysAccurate) {
+  const vid_t n = vid_t{1} << 14;
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  UpdateRefresher refresher(n, hub_edges(), store, queue, opt);
+  refresher.publish_initial();
+  const std::vector<rank_t> initial(store.current()->ranks().begin(),
+                                    store.current()->ranks().end());
+  ASSERT_EQ(std::max_element(initial.begin(), initial.end()) -
+                initial.begin(),
+            0);
+  const double inherited = algo::l1_distance(
+      initial, algo::pagerank_reference(refresher.graph(), 100));
+
+  queue.push_remove(Edge{0, 1});
+  queue.push_add(Edge{0, 4'242});
+  ASSERT_FALSE(refresher.refresh_now().full_run);
+  const engine::RunResult fresh =
+      algo::run_method_native(algo::Method::kHipa, refresher.graph(),
+                              opt.full);
+  const std::vector<rank_t> reference =
+      algo::pagerank_reference(refresher.graph(), 100);
+  const std::span<const rank_t> warm = store.current()->ranks();
+  EXPECT_LE(algo::l1_distance(warm, reference),
+            inherited + algo::l1_distance(fresh.ranks, reference));
+  EXPECT_LT(4 * algo::l1_distance(warm, fresh.ranks),
+            algo::l1_distance(initial, fresh.ranks));
+}
+
+// A push that would visit more edges than one full run gives way to
+// the full run: the small batch then publishes exactly what a fresh
+// full run on the edited graph does, and counts as a full refresh.
+TEST(Refresher, WarmPushPastOneFullRunFallsBackToIt) {
+  const vid_t n = vid_t{1} << 14;
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  opt.full.pr.iterations = 2;  // a budget of 2 |E| edge visits
+  opt.delta.epsilon = 1e-9;    // the hub's moved mass spreads far
+  UpdateRefresher refresher(n, hub_edges(), store, queue, opt);
+  refresher.publish_initial();
+
+  queue.push_remove(Edge{0, 1});
+  queue.push_add(Edge{0, 4'242});
+  const RefreshReport r = refresher.refresh_now();
+  EXPECT_TRUE(r.full_run);
+  EXPECT_EQ(r.iterations, 2u);
+  EXPECT_EQ(refresher.full_refreshes(), 2u);
+  EXPECT_EQ(refresher.delta_refreshes(), 0u);
+  const engine::RunResult fresh =
+      algo::run_method_native(algo::Method::kHipa, refresher.graph(),
+                              opt.full);
+  EXPECT_EQ(0, std::memcmp(store.current()->ranks().data(),
+                           fresh.ranks.data(), n * sizeof(rank_t)));
+}
+
+// The warm push is serial: two refreshers fed the same batches publish
+// bitwise-identical ranks.
+TEST(Refresher, WarmPushIsBitwiseReproducible) {
+  const vid_t n = vid_t{1} << 12;
+  const std::vector<Edge> base = rmat_edges(12);
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  SnapshotStore store_a(n);
+  SnapshotStore store_b(n);
+  UpdateQueue queue_a;
+  UpdateQueue queue_b;
+  UpdateRefresher a(n, base, store_a, queue_a, opt);
+  UpdateRefresher b(n, base, store_b, queue_b, opt);
+  a.publish_initial();
+  b.publish_initial();
+  std::mt19937_64 rng_a(3);
+  std::mt19937_64 rng_b(3);
+  unsigned rounds = 0;
+  for (unsigned k = 0; k < 30; ++k) {
+    const unsigned count = 1 + static_cast<unsigned>(k * 7 % 64);
+    push_random_batch(queue_a, rng_a, n, base, count);
+    push_random_batch(queue_b, rng_b, n, base, count);
+    rounds += a.refresh_now().iterations;
+    b.refresh_now();
+    ASSERT_EQ(0, std::memcmp(store_a.current()->ranks().data(),
+                             store_b.current()->ranks().data(),
+                             n * sizeof(rank_t)))
+        << "batch " << k;
+  }
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(a.delta_refreshes(), 30u);
+}
+
+// A long run of small refreshes keeps no per-refresh garbage: after a
+// warm-up, 450 more may not grow the process by more than a small
+// constant (one leaked graph copy per refresh would be ~1 GiB).
+TEST(Refresher, MemoryStaysBoundedOverSmallRefreshes) {
+  constexpr unsigned kWarmup = 50;
+  constexpr unsigned kTotal = 500;
+  const vid_t n = vid_t{1} << 14;
+  const std::vector<Edge> base = rmat_edges(14);
+  SnapshotStore store(n);
+  UpdateQueue queue;
+  RefreshOptions opt;
+  opt.full.threads = 2;
+  UpdateRefresher refresher(n, base, store, queue, opt);
+  refresher.publish_initial();
+  std::mt19937_64 rng(17);
+  std::uint64_t rss_warm = 0;
+  for (unsigned k = 0; k < kTotal; ++k) {
+    if (k == kWarmup) rss_warm = rss_bytes();
+    push_random_batch(queue, rng, n, base, 1 + rng() % 64);
+    ASSERT_FALSE(refresher.refresh_now().full_run);
+  }
+  const std::uint64_t rss_end = rss_bytes();
+  const std::uint64_t growth = rss_end > rss_warm ? rss_end - rss_warm : 0;
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan parks freed blocks in a quarantine (256 MB by default), so RSS
+  // measures the sanitizer here, not the refresher.
+  (void)growth;
+#else
+  EXPECT_LE(growth, std::uint64_t{32} << 20)
+      << "RSS grew " << (growth >> 20) << " MiB over "
+      << (kTotal - kWarmup) << " refreshes";
+#endif
+  EXPECT_EQ(refresher.delta_refreshes(), kTotal);
 }
 
 // ---------------------------------------------------------------------------
