@@ -9,9 +9,10 @@
 // as `key[field=value]`). Rows check the current document alone, except
 // `drift` rows: they walk the baseline, and each field it has must exist
 // in the current document (hard) and stay within a relative band. The
-// simulator's counters, encoding footprints and work counters are
-// deterministic and banded hard; host wall clock is banded advisory. A
-// serve or dist document is compared against the `serve`/`dist` object
+// simulator's counters, bins footprints and work counters are
+// deterministic and banded hard; host wall clock has no band (it moves
+// with the host, and perfbench's alternating pairs judge it). A serve
+// or dist document is compared against the `serve`/`dist` object
 // embedded in the hotpath baseline. Findings carry the pointer of the
 // offending field; advisory findings warn and never fail the gate.
 #pragma once
@@ -187,12 +188,9 @@ constexpr Rule kRules[] = {
     is(kHot, "/datasets/*/name", kStr),
     nonneg(kHot, "/datasets/*/vertices|edges"),
     is(kHot, "/datasets/*/methods/*/method", kStr),
-    is(kHot, "/datasets/*/methods/*/auto|wide/compact", kBool),
-    nonneg(kHot, "/datasets/*/methods/*/auto|wide/bins_footprint_bytes|"
+    nonneg(kHot, "/datasets/*/methods/*/bins_footprint_bytes|"
                  "dst_bytes_per_edge|native_seconds|native_edges_per_sec|"
                  "sim_bytes_per_edge|sim_cycles"),
-    // Compact and wide destination encodings agree bitwise.
-    zero(kHot, "/datasets/*/methods/*/ranks_l1_vs_wide"),
     is(kHot, "/telemetry_runs/dataset", kStr),
     nonempty(kHot, "/telemetry_runs/methods"),
     is(kHot, "/telemetry_runs/methods/*/method|trace_path", kStr),
@@ -231,26 +229,14 @@ constexpr Rule kRules[] = {
     frac(kHot, "/oocore/prefetch_overlap_ratio"),
     range(kHot, "/oocore/bytes_fetched", 1),
 
-    // hotpath vs baseline: graph shape, encodings, sim cycles and work
-    // counters are deterministic (hard); wall clock is advisory.
+    // hotpath vs baseline: graph shape, bins footprints, sim cycles and
+    // work counters are deterministic (hard).
     drift(kHot, "/datasets[name]/vertices|edges", 0.0),
-    drift(kHot, "/datasets[name]/methods[method]/auto|wide/compact", 0.0),
-    drift(kHot, "/datasets[name]/methods[method]/auto|wide/"
-                "bins_footprint_bytes|dst_bytes_per_edge", 0.10),
-    drift(kHot, "/datasets[name]/methods[method]/auto|wide/"
-                "sim_bytes_per_edge", 0.15, 0.01),
-    drift(kHot, "/datasets[name]/methods[method]/auto|wide/sim_cycles",
-          0.15),
-    advisory(drift(kHot, "/datasets[name]/methods[method]/auto|wide/"
-                         "native_seconds", 3.0, 1e-6)),
-    advisory(drift(kHot, "/datasets[name]/methods[method]/auto|wide/"
-                         "native_edges_per_sec", 3.0, 1.0)),
-    drift(kHot, "/datasets[name]/methods[method]/bins_compression_ratio",
-          0.10),
-    advisory(drift(kHot, "/barrier/flat_ns_per_crossing_max_threads|"
-                         "tree_ns_per_crossing_max_threads", 5.0, 1.0)),
-    advisory(drift(kHot, "/dispatch_overhead/phase_ns_per_iter|"
-                         "run_loop_ns_per_iter", 5.0, 1.0)),
+    drift(kHot, "/datasets[name]/methods[method]/bins_footprint_bytes|"
+                "dst_bytes_per_edge", 0.10),
+    drift(kHot, "/datasets[name]/methods[method]/sim_bytes_per_edge", 0.15,
+          0.01),
+    drift(kHot, "/datasets[name]/methods[method]/sim_cycles", 0.15),
     when(drift(kHot, "/kernels/full_round_messages", 0.0), "/kernels"),
     // Simulated cycles carry ~1e-5 heap-address set-conflict noise.
     when(drift(kHot, "/kernels/pagerank_sim_cycles_facade|"
@@ -261,15 +247,9 @@ constexpr Rule kRules[] = {
                0.001), "/kernels"),
     when(drift(kHot, "/kernels/entries[kernel]/active_skip_ratio", 0.02,
                0.01), "/kernels"),
-    when(advisory(drift(kHot, "/kernels/entries[kernel]/ns_per_edge", 3.0,
-                        0.1)), "/kernels"),
     when(drift(kHot, "/oocore/segments|iterations|target_segment_bytes|"
                      "budget_bytes|peak_resident_bytes|bytes_fetched", 0.0),
          "/oocore"),
-    when(advisory(drift(kHot, "/oocore/incore_seconds|streaming_seconds",
-                        3.0, 1e-6)), "/oocore"),
-    when(advisory(drift(kHot, "/oocore/prefetch_overlap_ratio", 10.0,
-                        0.05)), "/oocore"),
 
     // ---- table3_microarch -----------------------------------------------
     nonneg(kT3, "/iterations"),
@@ -332,14 +312,7 @@ constexpr Rule kRules[] = {
     drift(kServe, "/dataset/vertices|edges", 0.0),
     drift(kServe, "/store/slots", 0.0),
     advisory(drift(kServe, "/store/num_nodes", 0.0, 1.0)),
-    advisory(drift(kServe, "/mixes[mix]/qps", 5.0, 1.0)),
-    advisory(drift(kServe, "/mixes[mix]/p50_us|p99_us", 10.0, 1.0)),
-    advisory(drift(kServe, "/concurrent_refresh/qps", 5.0, 1.0)),
-    advisory(drift(kServe, "/concurrent_refresh/p99_us", 10.0, 1.0)),
     drift(kServe, "/metrics/scrape_cost/*/histograms", 0.0),
-    advisory(drift(kServe, "/metrics/scrape_cost/*/ns_per_scrape", 3.0,
-                   100.0)),
-    advisory(drift(kServe, "/metrics/overhead/ns_per_event", 3.0, 1.0)),
     advisory(drift(kServe, "/metrics/overhead/qps_ratio", 0.25, 0.1)),
 
     // ---- dist -----------------------------------------------------------
@@ -368,9 +341,6 @@ constexpr Rule kRules[] = {
 
     drift(kDist, "/dataset/vertices|edges", 0.0),
     drift(kDist, "/shard_defaults/topk_k", 0.0),
-    advisory(drift(kDist, "/configs[shards]/qps", 5.0, 1.0)),
-    advisory(drift(kDist, "/configs[shards]/p50_us|p99_us", 10.0, 1.0)),
-    advisory(drift(kDist, "/failover/failover_seconds", 10.0, 0.05)),
 };
 // clang-format on
 
@@ -443,7 +413,7 @@ inline const Value* child(const Value* v, std::string_view key) {
              : nullptr;
 }
 
-/// Numbers, and bools as 0/1 (so an encoding flip is a full drift).
+/// Numbers, and bools as 0/1 (preconditions name bool keys).
 inline bool scalar(const Value* v, double* out) {
   if (v == nullptr) return false;
   if (v->is(Value::Type::kBool)) *out = v->boolean ? 1.0 : 0.0;

@@ -1,13 +1,11 @@
-// Hot-path perf harness for the compact-destination encoding.
+// Hot-path perf harness for the partition-centric gather stream.
 //
 // Runs the two partition-centric methodologies whose gather phase
-// streams the destination list (HiPa and p-PR) on the six dataset
-// stand-ins, twice each: once with the automatic encoding choice
-// (16-bit partition-local destinations whenever every partition fits
-// 2^15 vertices) and once with the 32-bit encoding forced, so the
-// compaction delta is measured rather than asserted. Each
-// configuration runs natively (wall-clock edges/sec) and on the
-// simulated Skylake testbed (cycles, DRAM bytes per edge).
+// streams the destination list (HiPa and p-PR) once each on the six
+// dataset stand-ins, recording the bins footprint and destination-list
+// bytes per edge. Each configuration runs natively (wall-clock
+// edges/sec) and on the simulated Skylake testbed (cycles, DRAM bytes
+// per edge).
 //
 // It also measures the thread-management tax directly: a
 // `dispatch_overhead` micro-section times `2 × iters` empty condvar
@@ -31,7 +29,7 @@
 // the untelemetered code).
 //
 // An `oocore` section shards the smoke dataset into a segmented HCSR
-// v3 temp file and runs the out-of-core engine twice — fully in-core
+// v4 temp file and runs the out-of-core engine twice — fully in-core
 // vs streaming through two segment-sized staging slots with async
 // prefetch — recording both times, bytes fetched, the peak resident
 // bytes against the budget, the prefetch overlap ratio (fetch time
@@ -60,21 +58,19 @@ namespace {
 
 using namespace hipa;
 
-/// Measurements for one (dataset, method, encoding) configuration.
-struct EncodingRun {
-  bool compact = false;             ///< encoding the bins actually chose
+/// Measurements for one (dataset, method) configuration.
+struct MethodRun {
   std::uint64_t footprint = 0;      ///< bins footprint, bytes
   double dst_bytes_per_edge = 0.0;  ///< dst-list bytes / |E|
   double native_seconds = 0.0;
   double native_edges_per_sec = 0.0;
   double sim_bytes_per_edge = 0.0;  ///< DRAM bytes / |E| / iteration
   std::uint64_t sim_cycles = 0;
-  std::vector<rank_t> ranks;  ///< native ranks, for the cross-check
 };
 
-EncodingRun run_encoding(const bench::ScaledDataset& d, algo::Method m,
-                         pcp::DstEncoding enc, unsigned iters) {
-  EncodingRun r;
+MethodRun run_method(const bench::ScaledDataset& d, algo::Method m,
+                     unsigned iters) {
+  MethodRun r;
   engine::PageRankOptions pr;
   pr.iterations = iters;
   const eid_t edges = d.graph.num_edges();
@@ -82,13 +78,9 @@ EncodingRun run_encoding(const bench::ScaledDataset& d, algo::Method m,
       algo::default_partition_bytes(m, d.scale);
 
   auto options = [&](unsigned threads, unsigned nodes) {
-    engine::PcpmOptions o = m == algo::Method::kHipa
-                                ? engine::PcpmOptions::hipa(threads, nodes,
-                                                            part_bytes)
-                                : engine::PcpmOptions::ppr(threads, nodes,
-                                                           part_bytes);
-    o.dst_encoding = enc;
-    return o;
+    return m == algo::Method::kHipa
+               ? engine::PcpmOptions::hipa(threads, nodes, part_bytes)
+               : engine::PcpmOptions::ppr(threads, nodes, part_bytes);
   };
 
   {  // Native: wall-clock throughput on this host (one NUMA node).
@@ -96,16 +88,13 @@ EncodingRun run_encoding(const bench::ScaledDataset& d, algo::Method m,
     const unsigned threads = std::max(1u, runtime::available_cpus());
     engine::PcpmEngine<engine::NativeBackend> eng(
         d.graph, options(threads, 1), backend);
-    r.compact = eng.bins().compact();
     r.footprint = eng.bins().footprint_bytes();
     r.dst_bytes_per_edge =
         edges == 0 ? 0.0
                    : static_cast<double>(eng.bins().total_dests() *
-                                         eng.bins().dst_entry_bytes()) /
+                                         sizeof(vid_t)) /
                          static_cast<double>(edges);
-    auto res = eng.run(pr);
-    r.ranks = std::move(res.ranks);
-    const engine::RunReport& rep = res.report;
+    const engine::RunReport rep = eng.run(pr).report;
     r.native_seconds = rep.seconds;
     r.native_edges_per_sec =
         rep.seconds > 0.0 ? static_cast<double>(edges) * iters / rep.seconds
@@ -353,19 +342,6 @@ void emit_host(bench::JsonWriter& jw) {
   jw.end_object();
 }
 
-void emit_run(bench::JsonWriter& jw, const char* key, const EncodingRun& r) {
-  jw.key(key);
-  jw.begin_object();
-  jw.kv("compact", r.compact);
-  jw.kv("bins_footprint_bytes", r.footprint);
-  jw.kv("dst_bytes_per_edge", r.dst_bytes_per_edge);
-  jw.kv("native_seconds", r.native_seconds);
-  jw.kv("native_edges_per_sec", r.native_edges_per_sec);
-  jw.kv("sim_bytes_per_edge", r.sim_bytes_per_edge);
-  jw.kv("sim_cycles", r.sim_cycles);
-  jw.end_object();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -379,17 +355,8 @@ int main(int argc, char** argv) {
   const std::string out_path =
       flags.out.empty() ? "BENCH_hotpath.json" : flags.out;
 
-  bench::print_banner("Hot path: compact vs wide destination encoding",
+  bench::print_banner("Hot path: partition-centric gather stream",
                       "paper \xc2\xa7" "4.2 gather stream traffic");
-  std::printf("auto = 16-bit partition-local encoding when every partition "
-              "fits 2^15 vertices;\nwide = 32-bit encoding forced. Native "
-              "rows use %u host thread(s);\nsim rows use the paper's "
-              "per-method defaults.\n\n",
-              std::max(1u, runtime::available_cpus()));
-  std::printf("%-9s %-5s %5s | %4s %9s %8s | %9s %9s | %7s\n", "graph",
-              "meth", "1/N", "enc", "Medge/s", "vs-wide", "simB/e", "wideB/e",
-              "dst-x");
-
   const algo::Method methods[] = {algo::Method::kHipa, algo::Method::kPpr};
 
   std::FILE* jf = std::fopen(out_path.c_str(), "w");
@@ -465,6 +432,11 @@ int main(int argc, char** argv) {
         maxp.tree_ns_per_crossing <= maxp.flat_ns_per_crossing);
   jw.end_object();
 
+  std::printf("Native rows use %u host thread(s); sim rows use the paper's "
+              "per-method defaults.\n",
+              std::max(1u, runtime::available_cpus()));
+  std::printf("%-9s %-5s %5s | %9s | %9s %8s | %9s\n", "graph", "meth",
+              "1/N", "Medge/s", "simB/e", "dstB/e", "bins MB");
   jw.key("datasets");
   jw.begin_array();
 
@@ -480,42 +452,20 @@ int main(int argc, char** argv) {
     jw.key("methods");
     jw.begin_array();
     for (algo::Method m : methods) {
-      const EncodingRun a =
-          run_encoding(d, m, pcp::DstEncoding::kAuto, iters);
-      const EncodingRun w =
-          run_encoding(d, m, pcp::DstEncoding::kWide, iters);
-      // The two encodings perform identical arithmetic in identical
-      // order, so the ranks must match bitwise.
-      const double l1 = algo::l1_distance(a.ranks, w.ranks);
-      if (l1 != 0.0) {
-        std::fprintf(stderr, "ERROR: %s/%s compact-vs-wide rank mismatch "
-                     "(L1 = %g)\n", d.name.c_str(), algo::method_name(m), l1);
-        rc = 1;
-      }
-      const double speedup = a.native_seconds > 0.0
-                                 ? w.native_seconds / a.native_seconds
-                                 : 1.0;
-      const double ratio =
-          a.footprint > 0
-              ? static_cast<double>(w.footprint) /
-                    static_cast<double>(a.footprint)
-              : 1.0;
-      std::printf("%-9s %-5s %5u | %4s %9.2f %7.2fx | %9.2f %9.2f | %6.2fx\n",
+      const MethodRun r = run_method(d, m, iters);
+      std::printf("%-9s %-5s %5u | %9.2f | %9.2f %8.2f | %9.2f\n",
                   d.name.c_str(), algo::method_name(m), d.scale,
-                  a.compact ? "cmp" : "wide", a.native_edges_per_sec / 1e6,
-                  speedup, a.sim_bytes_per_edge, w.sim_bytes_per_edge,
-                  ratio);
+                  r.native_edges_per_sec / 1e6, r.sim_bytes_per_edge,
+                  r.dst_bytes_per_edge, static_cast<double>(r.footprint) / 1e6);
 
       jw.begin_object();
       jw.kv("method", algo::method_name(m));
-      emit_run(jw, "auto", a);
-      emit_run(jw, "wide", w);
-      jw.kv("compact_selected", a.compact);
-      jw.kv("bins_compression_ratio", ratio);
-      jw.kv("native_speedup_vs_wide", speedup);
-      jw.kv("sim_bytes_per_edge_saved",
-            w.sim_bytes_per_edge - a.sim_bytes_per_edge);
-      jw.kv("ranks_l1_vs_wide", l1);
+      jw.kv("bins_footprint_bytes", r.footprint);
+      jw.kv("dst_bytes_per_edge", r.dst_bytes_per_edge);
+      jw.kv("native_seconds", r.native_seconds);
+      jw.kv("native_edges_per_sec", r.native_edges_per_sec);
+      jw.kv("sim_bytes_per_edge", r.sim_bytes_per_edge);
+      jw.kv("sim_cycles", r.sim_cycles);
       jw.end_object();
     }
     jw.end_array();
@@ -956,9 +906,7 @@ int main(int argc, char** argv) {
   std::fclose(jf);
 
   std::printf("\nJSON written to %s\n", out_path.c_str());
-  std::printf("expected shape: compact halves the dst-list bytes (~2 B/edge\n"
-              "off simB/e per iteration; dst-x is the *whole-bins* footprint\n"
-              "ratio, so < 2) wherever partitions fit 2^15 vertices; ranks\n"
-              "are bitwise identical across encodings.\n");
+  std::printf("expected shape: dstB/e is 4 (one 32-bit destination entry\n"
+              "per edge); simB/e is the whole per-iteration DRAM traffic.\n");
   return rc;
 }

@@ -101,14 +101,16 @@ class LoopCtl {
  public:
   explicit LoopCtl(runtime::SpinBarrier& barrier) : flat_(&barrier) {}
   LoopCtl(runtime::TreeBarrier& barrier, unsigned tid)
-      : tree_(&barrier), tid_(tid) {}
+      : tree_(&barrier), tid_(tid), is_tree_(true) {}
 
   /// In-region barrier: every team thread arrives before any proceeds.
+  /// Dispatches on a flag, not on a null test, so no inlined path
+  /// dereferences the barrier pointer left null.
   void barrier() {
-    if (flat_ != nullptr) {
-      flat_->arrive_and_wait(sense_);
-    } else {
+    if (is_tree_) {
       tree_->arrive_and_wait(tid_, sense_);
+    } else {
+      flat_->arrive_and_wait(sense_);
     }
   }
 
@@ -116,6 +118,7 @@ class LoopCtl {
   runtime::SpinBarrier* flat_ = nullptr;
   runtime::TreeBarrier* tree_ = nullptr;
   unsigned tid_ = 0;
+  bool is_tree_ = false;
   bool sense_ = false;
 };
 

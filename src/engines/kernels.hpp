@@ -6,9 +6,9 @@
 //
 //   Message  POD payload written into the PcpmBins value stream (one
 //            per source vertex per destination partition). The bin
-//            format itself is payload-agnostic: the 16-bit compact /
-//            32-bit wide destination encodings only carry the
-//            new-message flag + destination id, never the payload.
+//            format itself is payload-agnostic: the 32-bit destination
+//            list only carries the new-message flag + destination id,
+//            never the payload.
 //   Value    per-vertex result type (extract() copies it out).
 //   Options  kernel-specific knobs (damping, seeds, source vertex).
 //   State    per-vertex attribute arrays, arena-allocated by

@@ -67,11 +67,6 @@ struct PcpmOptions {
   /// Edge-balanced (paper Eq. 2) vs even-vertex partitioning (§3.1's
   /// rejected strawman, kept for the balance ablation).
   part::PlanConfig::Balance balance = part::PlanConfig::Balance::kEdges;
-  /// Destination-list encoding: kAuto picks the 16-bit compact form
-  /// whenever every partition fits 2^15 vertices (halving gather
-  /// stream traffic) and falls back to 32-bit otherwise; benches force
-  /// kWide to measure the compaction delta.
-  pcp::DstEncoding dst_encoding = pcp::DstEncoding::kAuto;
   /// Cycles one FCFS claim costs per contending thread.
   std::uint32_t fcfs_claim_cycles = 150;
   /// Extra framework cycles per message / per partition (GPOP).
@@ -536,19 +531,14 @@ class PcpmEngine {
   }
 
   void build_bins() {
-    bins_ = pcp::build_bins(graph_->out, plan_.parts, opt_.dst_encoding);
+    bins_ = pcp::build_bins(graph_->out, plan_.parts);
   }
 
-  /// Register the active destination list's [db, de) entry range.
+  /// Register the destination list's [db, de) entry range.
   void register_dst_range(eid_t db, eid_t de, DataPlacement pl,
                           unsigned node = 0) {
-    if (bins_.compact()) {
-      backend_->register_buffer(bins_.dst_list16().data() + db,
-                                (de - db) * sizeof(std::uint16_t), pl, node);
-    } else {
-      backend_->register_buffer(bins_.dst_list().data() + db,
-                                (de - db) * sizeof(vid_t), pl, node);
-    }
+    backend_->register_buffer(bins_.dst_list().data() + db,
+                              (de - db) * sizeof(vid_t), pl, node);
   }
 
   /// NUMA placement of one kernel slot: per-node slices of every
@@ -933,34 +923,18 @@ class PcpmEngine {
 
   /// Inbox drain of one thread's destination partitions: fold message
   /// values into the kernel's vertex state (shared by the gather phase
-  /// and SpMV). Dispatches once per run to the compact (16-bit) or
-  /// wide (32-bit) destination-entry kernel.
+  /// and SpMV). The inner loop is branchless in its message tracking:
+  /// the new-message flag sits in the entry's top bit, so adding it to
+  /// `msg` advances the message index and the value re-load is
+  /// L1-resident. Frontier kernels skip pairs whose source partition
+  /// is inactive — those inbox slices were not rewritten this round —
+  /// and mark the destination partition next-active when any vertex
+  /// changed.
   template <class K, bool kTel>
   void gather_accumulate(KernelSlot<K>& sl, unsigned t, Mem& mem) {
-    if (bins_.compact()) {
-      gather_accumulate_impl<K, kTel>(sl, t, mem, bins_.dst_list16().data());
-    } else {
-      gather_accumulate_impl<K, kTel>(sl, t, mem, bins_.dst_list().data());
-    }
-  }
-
-  /// Entry-type-generic drain kernel. The inner loop is branchless in
-  /// its message tracking: the new-message flag sits in the entry's
-  /// top bit, so `msg += entry >> shift` advances the message index
-  /// and the value re-load is L1-resident. Compact entries are
-  /// partition-local, so the destination partition's first vertex
-  /// (loop-invariant) is added back; wide entries carry global ids
-  /// (base 0). Frontier kernels skip pairs whose source partition is
-  /// inactive — those inbox slices were not rewritten this round — and
-  /// mark the destination partition next-active when any vertex
-  /// changed.
-  template <class K, bool kTel, class E>
-  void gather_accumulate_impl(KernelSlot<K>& sl, unsigned t, Mem& mem,
-                              const E* dst_list) {
-    static_assert(sizeof(E) == 2 || sizeof(E) == 4);
     using Message = typename K::Message;
-    constexpr unsigned kShift = sizeof(E) == 2 ? 15 : 31;
-    constexpr std::uint32_t kMask = (std::uint32_t{1} << kShift) - 1;
+    using Bins = pcp::PcpmBins;
+    const vid_t* dst_list = bins_.dst_list().data();
     [[maybe_unused]] std::uint64_t tel_msgs = 0;
     [[maybe_unused]] std::uint64_t tel_dsts = 0;
     const auto& pairs = bins_.pairs();
@@ -975,9 +949,6 @@ class PcpmEngine {
       nxt = sl.next_ptr;
     }
     for_owned_partitions(t, mem, false, [&](std::uint32_t q) {
-      // Loop-invariant partition base (0 for the wide encoding).
-      vid_t vbase = 0;
-      if constexpr (sizeof(E) == 2) vbase = plan_.parts.range(q).begin;
       [[maybe_unused]] bool part_changed = false;
       for (std::uint32_t idx = dpb[q]; idx < dpb[q + 1]; ++idx) {
         const pcp::PairInfo& pr = pairs[dpi[idx]];
@@ -991,7 +962,7 @@ class PcpmEngine {
         mem.stream_read(&pr, 1);
         mem.stream_read(vals + pr.value_off, pr.msg_count);
         mem.stream_read(dst_list + pr.dst_off, pr.dst_count);
-        const E* __restrict dl = dst_list + pr.dst_off;
+        const vid_t* __restrict dl = dst_list + pr.dst_off;
         const eid_t cnt = pr.dst_count;
         // First entry of a pair is always flagged, so the pre-first
         // message index is never read.
@@ -999,12 +970,10 @@ class PcpmEngine {
         const eid_t fenced = cnt > kPrefetchDist ? cnt - kPrefetchDist : 0;
         eid_t j = 0;
         for (; j < fenced; ++j) {
-          const std::uint32_t e = dl[j];
-          K::gather_prefetch(
-              gc, vbase + (static_cast<std::uint32_t>(dl[j + kPrefetchDist]) &
-                           kMask));
-          msg += e >> kShift;
-          const vid_t d = vbase + (e & kMask);
+          const vid_t e = dl[j];
+          K::gather_prefetch(gc, Bins::dst_vertex(dl[j + kPrefetchDist]));
+          msg += Bins::is_msg_start(e);
+          const vid_t d = Bins::dst_vertex(e);
           if constexpr (K::kUsesFrontier) {
             part_changed |= K::gather(gc, mem, d, vals[msg]);
           } else {
@@ -1012,9 +981,9 @@ class PcpmEngine {
           }
         }
         for (; j < cnt; ++j) {
-          const std::uint32_t e = dl[j];
-          msg += e >> kShift;
-          const vid_t d = vbase + (e & kMask);
+          const vid_t e = dl[j];
+          msg += Bins::is_msg_start(e);
+          const vid_t d = Bins::dst_vertex(e);
           if constexpr (K::kUsesFrontier) {
             part_changed |= K::gather(gc, mem, d, vals[msg]);
           } else {
@@ -1036,7 +1005,7 @@ class PcpmEngine {
           timeline_.thread(t)[runtime::Phase::kGather];
       row.messages_consumed += tel_msgs;
       row.bytes_consumed +=
-          tel_msgs * sizeof(Message) + tel_dsts * sizeof(E);
+          tel_msgs * sizeof(Message) + tel_dsts * sizeof(vid_t);
     }
   }
 

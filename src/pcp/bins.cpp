@@ -45,38 +45,17 @@ std::uint64_t PcpmBins::footprint_bytes() const {
           dst_pair_begin_.size()) *
              sizeof(std::uint32_t) +
          src_list_.size() * sizeof(vid_t) +
-         total_dests_ * dst_entry_bytes();
+         total_dests_ * sizeof(vid_t);
 }
 
 PcpmBins build_bins(const graph::CsrGraph& out,
-                    const part::CachePartitioning& parts, DstEncoding enc) {
+                    const part::CachePartitioning& parts) {
   HIPA_CHECK(out.num_vertices() == parts.num_vertices(),
              "partitioning built for a different graph");
   PcpmBins bins;
   const std::uint32_t num_parts = parts.num_partitions();
   bins.num_parts_ = num_parts;
   bins.total_dests_ = out.num_edges();
-
-  // ---- encoding choice: a 15-bit partition-local offset must address
-  // every vertex of the largest partition (fixed-|P| partitioning, so
-  // vertices_per_partition() bounds them all).
-  const bool compact_fits =
-      parts.vertices_per_partition() <= PcpmBins::kMaxCompactPartition;
-  switch (enc) {
-    case DstEncoding::kAuto:
-      bins.compact_ = compact_fits;
-      break;
-    case DstEncoding::kWide:
-      bins.compact_ = false;
-      break;
-    case DstEncoding::kCompact:
-      HIPA_CHECK(compact_fits,
-                 "compact encoding forced but a partition holds "
-                     << parts.vertices_per_partition() << " > "
-                     << PcpmBins::kMaxCompactPartition << " vertices");
-      bins.compact_ = true;
-      break;
-  }
 
   // ---- pass 1: per source partition, count edges and messages per
   // destination partition; emit pairs in (p, q) order.
@@ -161,14 +140,9 @@ PcpmBins build_bins(const graph::CsrGraph& out,
 
   // ---- pass 2: fill src_list (scatter order) and the flag-packed
   // destination list (gather order) in one row scan with per-pair
-  // cursors. The compact path writes 16-bit partition-local offsets;
-  // the wide path 32-bit global ids — same layout, half the bytes.
+  // cursors.
   bins.src_list_ = AlignedBuffer<vid_t>(bins.total_msgs_);
-  if (bins.compact_) {
-    bins.dst_list16_ = AlignedBuffer<std::uint16_t>(bins.total_dests_);
-  } else {
-    bins.dst_list_ = AlignedBuffer<vid_t>(bins.total_dests_);
-  }
+  bins.dst_list_ = AlignedBuffer<vid_t>(bins.total_dests_);
   {
     std::vector<eid_t> src_cur(bins.pairs_.size());
     std::vector<eid_t> dst_cur(bins.pairs_.size());
@@ -179,7 +153,6 @@ PcpmBins build_bins(const graph::CsrGraph& out,
     // Row-local map q -> pair index.
     std::vector<std::uint32_t> row_pair(num_parts, ~0u);
     std::vector<vid_t> last_src(num_parts, kInvalidVid);
-    const vid_t per_part = parts.vertices_per_partition();
 
     for (std::uint32_t p = 0; p < num_parts; ++p) {
       for (std::uint32_t k = bins.src_pair_begin_[p];
@@ -197,16 +170,10 @@ PcpmBins build_bins(const graph::CsrGraph& out,
             bins.src_list_[src_cur[k]++] = v;
             starts_msg = true;
           }
-          if (bins.compact_) {
-            const vid_t local = u - q * per_part;
-            bins.dst_list16_[dst_cur[k]++] = static_cast<std::uint16_t>(
-                local | (starts_msg ? PcpmBins::kMsgStart16 : 0));
-          } else {
-            HIPA_CHECK((u & PcpmBins::kMsgStart) == 0,
-                       "vertex ids must fit in 31 bits for PCPM packing");
-            bins.dst_list_[dst_cur[k]++] =
-                u | (starts_msg ? PcpmBins::kMsgStart : 0);
-          }
+          HIPA_CHECK((u & PcpmBins::kMsgStart) == 0,
+                     "vertex ids must fit in 31 bits for PCPM packing");
+          bins.dst_list_[dst_cur[k]++] =
+              u | (starts_msg ? PcpmBins::kMsgStart : 0);
         }
       }
       // Reset row-local state.

@@ -16,19 +16,11 @@
 //    array contiguous (one registered range per node, paper §3.4's
 //    "contiguous virtual address space").
 //
-// Destination-list encodings (the gather phase's dominant stream):
-//  * wide    — one 32-bit entry per edge: 31-bit global vertex id,
-//    MSB flags the first destination of a message.
-//  * compact — one 16-bit entry per edge: 15-bit *partition-local*
-//    offset (dst vertex id minus the destination partition's first
-//    vertex), bit 15 flags a new message. Valid whenever every
-//    partition holds <= 2^15 vertices: true for partitions up to
-//    128 KB of 4 B attributes, i.e. up to ½ L2 — and for *every* scaled
-//    operating point the benches use (256 KB-eq / 64 ≈ 1 Ki vertices).
-//    Halves the bytes-per-edge streamed through the cache hierarchy in
-//    both backends (the PCPM bytes-per-edge lever of ref [21]).
-// build_bins picks compact automatically and falls back to wide when a
-// partition exceeds 2^15 vertices; callers can force either encoding.
+// Destination list (the gather phase's dominant stream): one 32-bit
+// entry per edge, the destination's 31-bit global vertex id with the
+// MSB flagging the first destination of a message. Global ids, because
+// the paper's 256 KB partition holds 2^16 vertices, more than a
+// 15-bit partition-local offset can address (DESIGN.md §3.4).
 #pragma once
 
 #include <cstdint>
@@ -50,13 +42,6 @@ struct PairInfo {
   eid_t value_off = 0;  ///< first message id (gather order; indexes the
                         ///< value buffer and dst_begin)
   eid_t dst_off = 0;    ///< first index into dst_list (gather order)
-};
-
-/// Destination-list encoding request for build_bins.
-enum class DstEncoding {
-  kAuto,     ///< compact when every partition fits 2^15 vertices
-  kWide,     ///< force 32-bit global-id entries
-  kCompact,  ///< force 16-bit entries (error if a partition is too big)
 };
 
 /// Immutable bin structure for one (graph, partitioning).
@@ -95,30 +80,13 @@ class PcpmBins {
     return src_list_.span();
   }
 
-  /// True when the destination list uses the 16-bit compact encoding.
-  [[nodiscard]] bool compact() const { return compact_; }
-  /// Bytes of one destination-list entry under the active encoding.
-  [[nodiscard]] std::size_t dst_entry_bytes() const {
-    return compact_ ? sizeof(std::uint16_t) : sizeof(vid_t);
-  }
-
-  /// Wide destination list (gather order); only valid when !compact().
-  /// The MSB marks the first destination of each message (the PCPM
-  /// trick of ref [21]): a gather walks one pair's slice linearly,
-  /// bumping its message index at every flagged entry — no per-message
-  /// offset array needed.
+  /// Destination list (gather order). The MSB marks the first
+  /// destination of each message (the PCPM trick of ref [21]): a
+  /// gather walks one pair's slice linearly, bumping its message index
+  /// at every flagged entry — no per-message offset array needed.
   [[nodiscard]] std::span<const vid_t> dst_list() const {
     return dst_list_.span();
   }
-  /// Compact destination list (gather order); only valid when
-  /// compact(). Bit 15 is the new-message flag; bits 0..14 hold the
-  /// partition-local vertex offset (add the destination partition's
-  /// first vertex id to recover the global id).
-  [[nodiscard]] std::span<const std::uint16_t> dst_list16() const {
-    return dst_list16_.span();
-  }
-
-  // --- wide encoding ------------------------------------------------------
   /// MSB flag: this dst_list entry starts a new message.
   static constexpr vid_t kMsgStart = vid_t{1} << 31;
   [[nodiscard]] static constexpr bool is_msg_start(vid_t packed) {
@@ -126,19 +94,6 @@ class PcpmBins {
   }
   [[nodiscard]] static constexpr vid_t dst_vertex(vid_t packed) {
     return packed & ~kMsgStart;
-  }
-
-  // --- compact encoding ---------------------------------------------------
-  /// Bit-15 flag: this dst_list16 entry starts a new message.
-  static constexpr std::uint16_t kMsgStart16 = std::uint16_t{1} << 15;
-  static constexpr std::uint16_t kLocalMask16 = kMsgStart16 - 1;
-  /// Largest partition (in vertices) the 15-bit offset can address.
-  static constexpr vid_t kMaxCompactPartition = vid_t{1} << 15;
-  [[nodiscard]] static constexpr bool is_msg_start(std::uint16_t packed) {
-    return (packed & kMsgStart16) != 0;
-  }
-  [[nodiscard]] static constexpr vid_t local_offset(std::uint16_t packed) {
-    return packed & kLocalMask16;
   }
 
   // --- contiguous per-node slice helpers (for NUMA registration) ---------
@@ -149,7 +104,7 @@ class PcpmBins {
   [[nodiscard]] std::pair<eid_t, eid_t> msg_slice(std::uint32_t qb,
                                                   std::uint32_t qe) const;
   /// [first, last) dst_list indices for destination partitions [qb, qe).
-  /// Entry-granular; multiply by dst_entry_bytes() for byte ranges.
+  /// Entry-granular; multiply by sizeof(vid_t) for byte ranges.
   [[nodiscard]] std::pair<eid_t, eid_t> dst_slice(std::uint32_t qb,
                                                   std::uint32_t qe) const;
 
@@ -157,29 +112,24 @@ class PcpmBins {
   [[nodiscard]] std::uint64_t footprint_bytes() const;
 
   friend PcpmBins build_bins(const graph::CsrGraph& out,
-                             const part::CachePartitioning& parts,
-                             DstEncoding enc);
+                             const part::CachePartitioning& parts);
 
  private:
   std::uint32_t num_parts_ = 0;
   eid_t total_msgs_ = 0;
   eid_t total_dests_ = 0;
-  bool compact_ = false;
   std::vector<PairInfo> pairs_;
   std::vector<std::uint32_t> src_pair_begin_;
   std::vector<std::uint32_t> dst_pair_index_;
   std::vector<std::uint32_t> dst_pair_begin_;
   AlignedBuffer<vid_t> src_list_;
-  AlignedBuffer<vid_t> dst_list_;            // wide encoding
-  AlignedBuffer<std::uint16_t> dst_list16_;  // compact encoding
+  AlignedBuffer<vid_t> dst_list_;
 };
 
 /// Build bins for a graph under a fixed-|P| partitioning. Requires the
 /// CSR's neighbor lists to be sorted (builder default) so each (v, q)
-/// message's destinations are consecutive. `enc` selects the
-/// destination-list encoding (default: compact when possible).
+/// message's destinations are consecutive.
 [[nodiscard]] PcpmBins build_bins(const graph::CsrGraph& out,
-                                  const part::CachePartitioning& parts,
-                                  DstEncoding enc = DstEncoding::kAuto);
+                                  const part::CachePartitioning& parts);
 
 }  // namespace hipa::pcp

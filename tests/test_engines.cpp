@@ -159,100 +159,53 @@ TEST(PcpmEngine, ZeroIterationsKeepsInitialRanks) {
   for (rank_t r : got) EXPECT_FLOAT_EQ(r, 0.01f);
 }
 
-// ---- compact destination encoding ------------------------------------------
+// ---- golden ranks ----------------------------------------------------------
 
-// The compact (16-bit partition-local) and wide (32-bit global)
-// destination encodings perform identical arithmetic in identical
-// order, so the ranks must be *bitwise* identical — not just close.
-std::vector<rank_t> run_hipa_with_encoding(const graph::Graph& g,
-                                           pcp::DstEncoding enc,
-                                           std::uint64_t part_bytes,
-                                           bool* was_compact = nullptr) {
+// HiPa on the simulated testbed against the sequential reference, on
+// the three generator families the datasets stand in for.
+std::vector<rank_t> run_hipa(const graph::Graph& g, std::uint64_t part_bytes) {
   sim::SimMachine machine(sim::Topology::skylake_2s().scaled(64));
   engine::SimBackend backend(machine);
   auto opt = engine::PcpmOptions::hipa(8, 2, part_bytes);
-  opt.dst_encoding = enc;
   engine::PcpmEngine<engine::SimBackend> eng(g, opt, backend);
-  if (was_compact != nullptr) *was_compact = eng.bins().compact();
-  const auto got = eng.run({8, 0.85f}).ranks;
-  return got;
+  return eng.run({8, 0.85f}).ranks;
 }
 
-void expect_bitwise_equal(const std::vector<rank_t>& a,
-                          const std::vector<rank_t>& b, const char* label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << label << " diverges at vertex " << i;
-  }
-}
-
-TEST(DstEncoding, GoldenRanksMatchOnRmat) {
+TEST(PcpmGolden, RanksMatchReferenceOnRmat) {
   const auto edges = graph::generate_rmat(
       {.scale = 11, .edge_factor = 8, .seed = 7});
   const graph::Graph g = graph::build_graph(1u << 11, edges);
-  bool compact = false;
-  const auto c = run_hipa_with_encoding(g, pcp::DstEncoding::kCompact, 1024,
-                                        &compact);
-  const auto w = run_hipa_with_encoding(g, pcp::DstEncoding::kWide, 1024);
-  EXPECT_TRUE(compact);
-  expect_bitwise_equal(c, w, "rmat compact-vs-wide");
-  expect_close(c, algo::pagerank_reference(g, 8), "rmat vs reference");
+  expect_close(run_hipa(g, 1024), algo::pagerank_reference(g, 8),
+               "rmat vs reference");
 }
 
-TEST(DstEncoding, GoldenRanksMatchOnErdosRenyi) {
+TEST(PcpmGolden, RanksMatchReferenceOnErdosRenyi) {
   const auto edges = graph::generate_erdos_renyi(3000, 24000, 11);
   const graph::Graph g = graph::build_graph(3000, edges);
-  const auto c = run_hipa_with_encoding(g, pcp::DstEncoding::kCompact, 2048);
-  const auto w = run_hipa_with_encoding(g, pcp::DstEncoding::kWide, 2048);
-  expect_bitwise_equal(c, w, "erdos-renyi compact-vs-wide");
-  expect_close(c, algo::pagerank_reference(g, 8), "erdos-renyi vs reference");
+  expect_close(run_hipa(g, 2048), algo::pagerank_reference(g, 8),
+               "erdos-renyi vs reference");
 }
 
-TEST(DstEncoding, GoldenRanksMatchOnZipf) {
+TEST(PcpmGolden, RanksMatchReferenceOnZipf) {
   const graph::Graph g = test_graph(404, 4000, 32000);
-  const auto c = run_hipa_with_encoding(g, pcp::DstEncoding::kCompact, 4096);
-  const auto w = run_hipa_with_encoding(g, pcp::DstEncoding::kWide, 4096);
-  expect_bitwise_equal(c, w, "zipf compact-vs-wide");
-  expect_close(c, algo::pagerank_reference(g, 8), "zipf vs reference");
+  expect_close(run_hipa(g, 4096), algo::pagerank_reference(g, 8),
+               "zipf vs reference");
 }
 
-TEST(DstEncoding, AutoFallsBackToWideWhenPartitionTooLarge) {
-  // A partition budget spanning > 2^15 vertices forces the 32-bit
-  // fallback; the engine must still be correct.
-  const vid_t n = pcp::PcpmBins::kMaxCompactPartition + 500;
+TEST(PcpmGolden, PartitionOver32KVerticesMatchesReference) {
+  // One partition spanning > 2^15 vertices, the regime of the paper's
+  // 256 KB partitions (2^16 vertices of 4 B ranks).
+  const vid_t n = (vid_t{1} << 15) + 500;
   const graph::Graph g = graph::build_graph(
       n, graph::generate_zipf({.num_vertices = n, .num_edges = 80000,
                                .seed = 9}));
-  bool compact = true;
-  const auto got = run_hipa_with_encoding(
-      g, pcp::DstEncoding::kAuto, std::uint64_t{n} * sizeof(rank_t),
-      &compact);
-  EXPECT_FALSE(compact);
-  expect_close(got, algo::pagerank_reference(g, 8), "wide-fallback");
-}
-
-TEST(DstEncoding, NativeBackendBitwiseMatchToo) {
-  const graph::Graph g = test_graph(405, 1500, 12000);
-  engine::PageRankOptions pr{8, 0.85f};
-  auto run = [&](pcp::DstEncoding enc, bool expect_compact) {
-    engine::NativeBackend backend;
-    auto opt = engine::PcpmOptions::hipa(4, 1, 1024);
-    opt.dst_encoding = enc;
-    engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
-    EXPECT_EQ(eng.bins().compact(), expect_compact);
-    return eng.run(pr).ranks;
-  };
-  const auto c = run(pcp::DstEncoding::kCompact, true);
-  const auto w = run(pcp::DstEncoding::kWide, false);
-  // kAuto is what every facade run uses.
-  const auto a = run(pcp::DstEncoding::kAuto, true);
-  expect_bitwise_equal(c, w, "native compact-vs-wide");
-  expect_bitwise_equal(a, w, "native auto-vs-wide");
+  expect_close(run_hipa(g, std::uint64_t{n} * sizeof(rank_t)),
+               algo::pagerank_reference(g, 8), "large partition");
 }
 
 // A relabelled graph (vertex ids reversed, so hubs move to the other end
-// of the id space) keeps the encoding guarantee, and its ranks map back
-// to the original ids.
+// of the id space) ranks the same: its ranks map back to the original
+// ids.
 TEST(ReorderEncoding, WideFallbackRoundTrips) {
   constexpr vid_t n = 2048;
   const auto edges =
@@ -267,28 +220,23 @@ TEST(ReorderEncoding, WideFallbackRoundTrips) {
 
   engine::PageRankOptions pr;
   pr.iterations = 3;
-  auto run = [&](const graph::Graph& graph, pcp::DstEncoding enc) {
+  auto run = [&](const graph::Graph& graph) {
     engine::NativeBackend backend;
     engine::PcpmOptions opt = engine::PcpmOptions::hipa(2, 1, 64 * 1024);
-    opt.dst_encoding = enc;
     engine::PcpmEngine<engine::NativeBackend> eng(graph, opt, backend);
     return eng.run(pr);
   };
 
-  const auto base_wide = run(g, pcp::DstEncoding::kWide);
-  const auto perm_wide = run(permuted, pcp::DstEncoding::kWide);
-  const auto perm_auto = run(permuted, pcp::DstEncoding::kAuto);
+  const auto base = run(g);
+  const auto relabelled_run = run(permuted);
 
-  // Encoding guarantee on the relabelled graph: identical arithmetic.
-  EXPECT_EQ(algo::l1_distance(perm_wide.ranks, perm_auto.ranks), 0.0);
-
-  // Round trip: map the wide run's ranks back to original vertex ids
-  // and compare with the unrelabelled wide run.
-  std::vector<rank_t> unperm(perm_wide.ranks.size());
+  // Round trip: map the relabelled run's ranks back to original vertex
+  // ids and compare with the unrelabelled run.
+  std::vector<rank_t> unperm(relabelled_run.ranks.size());
   for (vid_t v = 0; v < static_cast<vid_t>(unperm.size()); ++v) {
-    unperm[v] = perm_wide.ranks[perm[v]];
+    unperm[v] = relabelled_run.ranks[perm[v]];
   }
-  EXPECT_LT(algo::l1_distance(base_wide.ranks, unperm), 1e-3);
+  EXPECT_LT(algo::l1_distance(base.ranks, unperm), 1e-3);
 }
 
 // ---- the paper's NUMA claims ------------------------------------------------

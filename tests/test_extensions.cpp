@@ -243,26 +243,6 @@ TEST(Wcc, HipaMatchesReferenceNative) {
   EXPECT_EQ(wcc(g, opt, backend), want);
 }
 
-TEST(Wcc, BothDstEncodingsAgree) {
-  // Label propagation drains the same destination lists as PageRank's
-  // gather; the compact and wide encodings must produce identical
-  // labels in the same number of rounds.
-  const graph::Graph g = test_graph(433, 2000, 6000);
-  const auto want = wcc_reference(g);
-  engine::NativeBackend b1, b2;
-  auto compact = engine::PcpmOptions::hipa(4, 1, 1024);
-  compact.dst_encoding = pcp::DstEncoding::kCompact;
-  auto wide = compact;
-  wide.dst_encoding = pcp::DstEncoding::kWide;
-  unsigned rounds_c = 0;
-  unsigned rounds_w = 0;
-  const auto got_c = wcc(g, compact, b1, &rounds_c);
-  const auto got_w = wcc(g, wide, b2, &rounds_w);
-  EXPECT_EQ(got_c, want);
-  EXPECT_EQ(got_w, want);
-  EXPECT_EQ(rounds_c, rounds_w);
-}
-
 TEST(Wcc, SingletonVerticesKeepOwnLabel) {
   const graph::Graph g = graph::build_graph(4, {{0, 1}});
   engine::NativeBackend backend;

@@ -200,8 +200,8 @@ TEST_P(KernelOracles, PprMassConcentratesOnSeeds) {
 INSTANTIATE_TEST_SUITE_P(Families, KernelOracles,
                          ::testing::Values(Family::kZipf, Family::kRmat,
                                            Family::kEr),
-                         [](const auto& info) {
-                           return family_name(info.param);
+                         [](const auto& test_info) {
+                           return family_name(test_info.param);
                          });
 
 // ---- PageRank facade identity -----------------------------------------------

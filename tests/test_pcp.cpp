@@ -19,34 +19,20 @@ using graph::CsrGraph;
 using part::CachePartitioning;
 
 /// Decode bins back into an edge multiset, walking the flag-packed
-/// destination lists exactly the way a gather kernel does — under
-/// either encoding (compact entries add the destination partition's
-/// first vertex id back to the 15-bit local offset).
-std::multiset<std::pair<vid_t, vid_t>> decode(
-    const PcpmBins& bins, const CachePartitioning& parts) {
+/// destination list exactly the way a gather kernel does.
+std::multiset<std::pair<vid_t, vid_t>> decode(const PcpmBins& bins) {
   std::multiset<std::pair<vid_t, vid_t>> edges;
   const auto src = bins.src_list();
   for (const PairInfo& pr : bins.pairs()) {
     eid_t msg = 0;
     vid_t s = kInvalidVid;
-    const vid_t vbase = parts.range(pr.dst_part).begin;
     for (eid_t j = pr.dst_off; j < pr.dst_off + pr.dst_count; ++j) {
-      bool starts = false;
-      vid_t d = kInvalidVid;
-      if (bins.compact()) {
-        const std::uint16_t packed = bins.dst_list16()[j];
-        starts = PcpmBins::is_msg_start(packed);
-        d = vbase + PcpmBins::local_offset(packed);
-      } else {
-        const vid_t packed = bins.dst_list()[j];
-        starts = PcpmBins::is_msg_start(packed);
-        d = PcpmBins::dst_vertex(packed);
-      }
-      if (starts) {
+      const vid_t packed = bins.dst_list()[j];
+      if (PcpmBins::is_msg_start(packed)) {
         s = src[pr.src_off + msg];
         ++msg;
       }
-      edges.emplace(s, d);
+      edges.emplace(s, PcpmBins::dst_vertex(packed));
     }
     EXPECT_EQ(msg, pr.msg_count);
   }
@@ -67,7 +53,7 @@ TEST(Bins, LosslessOnTinyGraph) {
   const CachePartitioning parts(8, 4 * 4, 4);  // 4 vertices/partition
   const PcpmBins bins = build_bins(g, parts);
   EXPECT_EQ(bins.total_dests(), g.num_edges());
-  EXPECT_EQ(decode(bins, parts), graph_edges(g));
+  EXPECT_EQ(decode(bins), graph_edges(g));
 }
 
 TEST(Bins, CompressionMatchesPaperSemantics) {
@@ -126,26 +112,16 @@ TEST(Bins, FlagCountMatchesMessageCount) {
   const CachePartitioning parts(1 << 10, 64 * 4, 4);
   const PcpmBins bins = build_bins(g, parts);
   eid_t flags = 0;
-  if (bins.compact()) {
-    for (std::uint16_t packed : bins.dst_list16()) {
-      if (PcpmBins::is_msg_start(packed)) ++flags;
-    }
-  } else {
-    for (vid_t packed : bins.dst_list()) {
-      if (PcpmBins::is_msg_start(packed)) ++flags;
-    }
+  for (vid_t packed : bins.dst_list()) {
+    if (PcpmBins::is_msg_start(packed)) ++flags;
   }
   EXPECT_EQ(flags, bins.total_messages());
-  // Every pair's slice must begin with a flagged entry (both encodings
-  // rely on this: the gather's message index may start at -1 and is
-  // always bumped before the first value read).
+  // Every pair's slice must begin with a flagged entry (the gather's
+  // message index may start at -1 and is always bumped before the
+  // first value read).
   for (const PairInfo& pr : bins.pairs()) {
     ASSERT_GT(pr.dst_count, 0u);
-    if (bins.compact()) {
-      EXPECT_TRUE(PcpmBins::is_msg_start(bins.dst_list16()[pr.dst_off]));
-    } else {
-      EXPECT_TRUE(PcpmBins::is_msg_start(bins.dst_list()[pr.dst_off]));
-    }
+    EXPECT_TRUE(PcpmBins::is_msg_start(bins.dst_list()[pr.dst_off]));
   }
 }
 
@@ -189,55 +165,18 @@ TEST(Bins, LargerPartitionsCompressBetter) {
   EXPECT_LT(large.total_messages(), small.total_messages());
 }
 
-TEST(Bins, AutoPicksCompactForSmallPartitions) {
-  const auto edges = graph::generate_zipf(
-      {.num_vertices = 1 << 10, .num_edges = 1 << 13, .seed = 5});
-  const CsrGraph g = build_csr(1 << 10, edges);
-  const CachePartitioning parts(1 << 10, 128 * 4, 4);
-  ASSERT_LE(parts.vertices_per_partition(), PcpmBins::kMaxCompactPartition);
-  const PcpmBins bins = build_bins(g, parts);  // kAuto
-  EXPECT_TRUE(bins.compact());
-  EXPECT_EQ(bins.dst_entry_bytes(), sizeof(std::uint16_t));
-  EXPECT_EQ(bins.dst_list16().size(), bins.total_dests());
-  EXPECT_TRUE(bins.dst_list().empty());  // wide list never allocated
-}
-
 TEST(Bins, AutoFallsBackToWideForHugePartitions) {
-  // One partition spanning > 2^15 vertices cannot be addressed with a
-  // 15-bit local offset; kAuto must fall back to the wide encoding.
-  const vid_t n = PcpmBins::kMaxCompactPartition + 100;
+  // One partition spanning > 2^15 vertices (the paper's 256 KB
+  // partitions hold 2^16): the global ids still decode to the graph.
+  const vid_t n = (vid_t{1} << 15) + 100;
   const std::vector<Edge> edge_list = {
       {0, n - 1}, {1, 2}, {n - 1, 0}, {n - 2, 1}};
   const CsrGraph g = build_csr(n, edge_list);
   const CachePartitioning parts(n, std::uint64_t{n} * 4, 4);
-  ASSERT_GT(parts.vertices_per_partition(), PcpmBins::kMaxCompactPartition);
-  const PcpmBins bins = build_bins(g, parts);  // kAuto
-  EXPECT_FALSE(bins.compact());
-  EXPECT_EQ(bins.dst_entry_bytes(), sizeof(vid_t));
-  EXPECT_TRUE(bins.dst_list16().empty());
-  EXPECT_EQ(decode(bins, parts), graph_edges(g));
-}
-
-TEST(Bins, ForcedEncodingsAgreeAndCompactHalvesDstBytes) {
-  const auto edges = graph::generate_zipf(
-      {.num_vertices = 1 << 11, .num_edges = 1 << 14, .seed = 17});
-  const CsrGraph g = build_csr(1 << 11, edges);
-  const CachePartitioning parts(1 << 11, 256 * 4, 4);
-  const PcpmBins wide = build_bins(g, parts, DstEncoding::kWide);
-  const PcpmBins comp = build_bins(g, parts, DstEncoding::kCompact);
-  EXPECT_FALSE(wide.compact());
-  EXPECT_TRUE(comp.compact());
-  // Same logical structure...
-  EXPECT_EQ(wide.total_messages(), comp.total_messages());
-  EXPECT_EQ(wide.total_dests(), comp.total_dests());
-  EXPECT_EQ(wide.pairs().size(), comp.pairs().size());
-  // ...same decoded edge multiset...
-  EXPECT_EQ(decode(wide, parts), graph_edges(g));
-  EXPECT_EQ(decode(comp, parts), graph_edges(g));
-  // ...and the destination list costs exactly half the bytes.
-  EXPECT_EQ(wide.total_dests() * sizeof(vid_t),
-            2 * comp.total_dests() * sizeof(std::uint16_t));
-  EXPECT_LT(comp.footprint_bytes(), wide.footprint_bytes());
+  ASSERT_GT(parts.vertices_per_partition(), vid_t{1} << 15);
+  const PcpmBins bins = build_bins(g, parts);
+  EXPECT_EQ(bins.dst_list().size(), bins.total_dests());
+  EXPECT_EQ(decode(bins), graph_edges(g));
 }
 
 class BinsLossless : public ::testing::TestWithParam<
@@ -250,13 +189,8 @@ TEST_P(BinsLossless, DecodeMatchesGraph) {
        .seed = static_cast<std::uint64_t>(seed)});
   const CsrGraph g = build_csr(n, edges);
   const CachePartitioning parts(n, std::uint64_t{per_part} * 4, 4);
-  // kAuto (compact for these sizes) and forced wide must both decode
-  // back to the exact edge multiset.
   const PcpmBins bins = build_bins(g, parts);
-  EXPECT_EQ(decode(bins, parts), graph_edges(g));
-  const PcpmBins wide = build_bins(g, parts, DstEncoding::kWide);
-  EXPECT_FALSE(wide.compact());
-  EXPECT_EQ(decode(wide, parts), graph_edges(g));
+  EXPECT_EQ(decode(bins), graph_edges(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(

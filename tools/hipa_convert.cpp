@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(parse_positive("--segment-bytes", v));
     } else if (flag_is(a, "--chunk-edges") && i + 1 < argc) {
       opt.chunk_edges = static_cast<std::size_t>(parse_positive(a, argv[++i]));
-    } else if (const char* v = flag_value(a, "--chunk-edges=")) {
+    } else if (const char* edges = flag_value(a, "--chunk-edges=")) {
       opt.chunk_edges =
-          static_cast<std::size_t>(parse_positive("--chunk-edges", v));
+          static_cast<std::size_t>(parse_positive("--chunk-edges", edges));
     } else if (a[0] == '-') {
       std::fprintf(stderr, "hipa-convert: unknown option '%s'\n", a);
       usage(argv[0]);
